@@ -19,7 +19,7 @@ fn main() {
         &report.rows,
     );
     println!(
-        "\nnoisy tenant clamped to {} ops/s; quiet tenants' p99 {:.1} us -> {:.1} us \
+        "\nnoisy tenant clamped to {} ops/s; p99 quiet tenants solo {:.1} us -> all tenants contended {:.1} us \
          ({:+.1}%, containment bound < +10%)",
         report.noisy_quota_ops_per_sec,
         report.solo.total.p99_latency_us,

@@ -12,26 +12,54 @@
 
 use std::collections::{HashMap, HashSet};
 
-use recipe_core::{ClientReply, ClientRequest, Membership, Operation};
+use recipe_core::{wire_enum, ClientReply, ClientRequest, Membership, Operation, Wire};
 use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, Replica};
-use serde::{Deserialize, Serialize};
 
 /// Damysus protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum DamysusMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DamysusMsg {
     /// Leader → replicas: proposal for a slot.
-    Propose { slot: u64, request: ClientRequest },
+    Propose {
+        /// The slot proposed.
+        slot: u64,
+        /// The proposed request.
+        request: ClientRequest,
+    },
     /// Replica → leader: phase-1 vote (accumulated into a prepare certificate).
-    PrepareVote { slot: u64, replica: u64 },
+    PrepareVote {
+        /// The slot voted on.
+        slot: u64,
+        /// The voting replica.
+        replica: u64,
+    },
     /// Leader → replicas: prepare certificate formed; enter phase 2.
-    PreCommit { slot: u64 },
+    PreCommit {
+        /// The slot.
+        slot: u64,
+    },
     /// Replica → leader: phase-2 vote (checked by the trusted CHECKER).
-    CommitVote { slot: u64, replica: u64 },
+    CommitVote {
+        /// The slot voted on.
+        slot: u64,
+        /// The voting replica.
+        replica: u64,
+    },
     /// Leader → replicas: decision; execute the slot.
-    Decide { slot: u64 },
+    Decide {
+        /// The slot decided.
+        slot: u64,
+    },
 }
+
+wire_enum!(DamysusMsg {
+    0 => Propose { slot, request },
+    1 => PrepareVote { slot, replica },
+    2 => PreCommit { slot },
+    3 => CommitVote { slot, replica },
+    4 => Decide { slot },
+});
 
 #[derive(Debug, Default)]
 struct SlotState {
@@ -87,11 +115,7 @@ impl DamysusReplica {
     }
 
     fn send(&self, ctx: &mut Ctx, dst: NodeId, msg: &DamysusMsg) {
-        ctx.send(
-            dst,
-            // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-            serde_json::to_vec(msg).expect("damysus message serializes"),
-        );
+        ctx.send(dst, msg.to_wire());
     }
 
     fn broadcast(&self, ctx: &mut Ctx, msg: &DamysusMsg) {
@@ -223,7 +247,7 @@ impl Replica for DamysusReplica {
     }
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
-        if let Ok(msg) = serde_json::from_slice::<DamysusMsg>(bytes) {
+        if let Some(msg) = DamysusMsg::decode(bytes) {
             self.handle(from, msg, ctx);
         }
     }

@@ -18,44 +18,58 @@
 
 use std::collections::{HashMap, HashSet};
 
-use recipe_core::{ClientReply, ClientRequest, Membership, Operation};
+use recipe_core::{wire_enum, ClientReply, ClientRequest, Membership, Operation, Wire};
 use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_net::NodeId;
+use recipe_protocols::shield::NativeBatch;
 use recipe_protocols::{BatchConfig, Batcher};
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
-use serde::{Deserialize, Serialize};
 
 /// Timer token: flush partially-filled batches (time-budget trigger).
 const TOKEN_BATCH_FLUSH: u64 = 1;
 
-/// PBFT protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum PbftMsg {
+/// PBFT protocol messages. Batched runs carry them in a
+/// [`NativeBatch`] frame, one op per message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PbftMsg {
+    /// Primary → backups: order `request` at `seq`.
     PrePrepare {
+        /// The primary's view.
         view: u64,
+        /// Sequence number assigned.
         seq: u64,
+        /// The ordered request.
         request: ClientRequest,
     },
+    /// Backup → all: the pre-prepare was accepted.
     Prepare {
+        /// The sender's view.
         view: u64,
+        /// Sequence number prepared.
         seq: u64,
+        /// Digest of the request.
         digest: u64,
+        /// The sending replica.
         replica: u64,
     },
+    /// Replica → all: prepared; ready to commit.
     Commit {
+        /// The sender's view.
         view: u64,
+        /// Sequence number committed.
         seq: u64,
+        /// Digest of the request.
         digest: u64,
+        /// The sending replica.
         replica: u64,
     },
 }
 
-/// A coalesced frame of serialized [`PbftMsg`]s (the native-wire counterpart of
-/// the Recipe protocols' batch frames).
-#[derive(Serialize, Deserialize)]
-struct PbftBatch {
-    msgs: Vec<Vec<u8>>,
-}
+wire_enum!(PbftMsg {
+    0 => PrePrepare { view, seq, request },
+    1 => Prepare { view, seq, digest, replica },
+    2 => Commit { view, seq, digest, replica },
+});
 
 #[derive(Debug, Default)]
 struct SlotState {
@@ -105,7 +119,7 @@ impl PbftReplica {
     }
 
     /// Enables request batching: outgoing PBFT messages accumulate per
-    /// destination and drain as one `PbftBatch` frame per flush.
+    /// destination and drain as one [`NativeBatch`] frame per flush.
     pub fn with_batching(mut self, config: BatchConfig) -> Self {
         self.batcher = Batcher::new(config);
         self
@@ -142,15 +156,14 @@ impl PbftReplica {
     fn digest(request: &ClientRequest) -> u64 {
         // A cheap stand-in for the request digest; the signature cost is accounted
         // by the cost profile, not recomputed here.
-        let bytes = request.to_bytes();
+        let bytes = request.to_wire();
         bytes.iter().fold(1469598103934665603u64, |h, b| {
             (h ^ *b as u64).wrapping_mul(1099511628211)
         })
     }
 
     fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &PbftMsg) {
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-        let payload = serde_json::to_vec(msg).expect("pbft message serializes");
+        let payload = msg.to_wire();
         if !self.batcher.is_batching() {
             ctx.send(dst, payload);
             return;
@@ -161,15 +174,7 @@ impl PbftReplica {
 
     fn send_frame(ctx: &mut Ctx, dst: NodeId, ops: Vec<recipe_core::BatchOp>) {
         let count = ops.len() as u32;
-        let frame = PbftBatch {
-            msgs: ops.into_iter().map(|op| op.payload).collect(),
-        };
-        ctx.send_batch(
-            dst,
-            // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory frame cannot fail")
-            serde_json::to_vec(&frame).expect("pbft batch serializes"),
-            count,
-        );
+        ctx.send_batch(dst, NativeBatch { ops }.to_wire(), count);
     }
 
     fn broadcast(&mut self, ctx: &mut Ctx, msg: &PbftMsg) {
@@ -356,11 +361,11 @@ impl Replica for PbftReplica {
     }
 
     fn on_message(&mut self, _from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
-        if let Ok(msg) = serde_json::from_slice::<PbftMsg>(bytes) {
+        if let Some(msg) = PbftMsg::decode(bytes) {
             self.handle(msg, ctx);
-        } else if let Ok(batch) = serde_json::from_slice::<PbftBatch>(bytes) {
-            for payload in batch.msgs {
-                if let Ok(msg) = serde_json::from_slice::<PbftMsg>(&payload) {
+        } else if let Some(batch) = NativeBatch::decode(bytes) {
+            for op in batch.ops {
+                if let Some(msg) = PbftMsg::decode(&op.payload) {
                     self.handle(msg, ctx);
                 }
             }

@@ -24,6 +24,7 @@ use recipe_tee::Enclave;
 use crate::error::RecipeError;
 use crate::message::{BatchFrame, BatchOp, SequenceTuple, ShieldedMessage, TxnBody, TxnFrame};
 use crate::policy::ConfidentialityMode;
+use crate::wire::{put_seq, Wire};
 
 /// Label under which the cluster-wide value/message cipher key is provisioned.
 pub const CIPHER_LABEL: &str = "recipe.values";
@@ -375,11 +376,7 @@ impl AuthLayer {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
             let nonce = Self::payload_nonce(&channel, counter);
             let ct = cipher.seal(nonce, payload);
-            (
-                // recipe-lint: allow(unwrap-in-lib, reason = "serializing the just-built ciphertext cannot fail")
-                serde_json::to_vec(&ct).expect("ciphertext serializes"),
-                true,
-            )
+            (ct.to_wire(), true)
         } else {
             (payload.to_vec(), false)
         };
@@ -391,7 +388,7 @@ impl AuthLayer {
             &wire_payload,
             kind,
             confidential,
-            &tuple.to_bytes(),
+            &tuple.to_wire(),
         );
         let mac = mac_key.tag(&self.scratch);
 
@@ -433,7 +430,8 @@ impl AuthLayer {
             counter,
         };
 
-        let body = BatchFrame::encode_ops(ops);
+        let mut body = Vec::new();
+        put_seq(&mut body, ops);
         let (body, sealed) = if self.confidentiality.is_confidential() {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
             let nonce = Self::payload_nonce(&channel, counter);
@@ -450,7 +448,7 @@ impl AuthLayer {
             &body,
             sealed.as_ref(),
             count,
-            &tuple.to_bytes(),
+            &tuple.to_wire(),
         );
         let mac = mac_key.tag(&self.scratch);
 
@@ -468,7 +466,7 @@ impl AuthLayer {
     // ------------------------------------------------------------------
 
     /// Shields one two-phase-commit message for `dst` under the next counter
-    /// slot of the channel: the body is serialized, AEAD-sealed in
+    /// slot of the channel: the body is encoded, AEAD-sealed in
     /// confidential mode, and MAC'd together with the transaction id under
     /// the transaction MAC domain — a 2PC frame can never be replayed as (or
     /// confused with) protocol traffic.
@@ -491,7 +489,7 @@ impl AuthLayer {
             counter,
         };
 
-        let encoded = TxnFrame::encode_body(body);
+        let encoded = body.to_wire();
         let (body, sealed) = if self.confidentiality.is_confidential() {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
             let nonce = Self::payload_nonce(&channel, counter);
@@ -507,7 +505,7 @@ impl AuthLayer {
             &body,
             sealed.as_ref(),
             txn_id,
-            &tuple.to_bytes(),
+            &tuple.to_wire(),
         );
         let mac = mac_key.tag(&self.scratch);
 
@@ -531,7 +529,7 @@ impl AuthLayer {
                 &frame.body,
                 frame.sealed.as_ref(),
                 frame.txn_id,
-                &frame.tuple.to_bytes(),
+                &frame.tuple.to_wire(),
             )
         }) {
             Admission::Reject(rejection) => rejection.into(),
@@ -544,7 +542,7 @@ impl AuthLayer {
                     Some(ct) => self.open_ciphertext(ct),
                     None => Ok(frame.body),
                 };
-                match opened.ok().and_then(|bytes| TxnFrame::decode_body(&bytes)) {
+                match opened.ok().and_then(|bytes| TxnBody::decode(&bytes)) {
                     Some(body) => TxnVerifyOutcome::Accept {
                         txn_id,
                         body,
@@ -576,7 +574,7 @@ impl AuthLayer {
                 &msg.payload,
                 msg.kind,
                 msg.confidential,
-                &msg.tuple.to_bytes(),
+                &msg.tuple.to_wire(),
             )
         }) {
             Admission::Reject(rejection) => rejection.into(),
@@ -611,7 +609,7 @@ impl AuthLayer {
                 &msg.payload,
                 msg.kind,
                 msg.confidential,
-                &msg.tuple.to_bytes(),
+                &msg.tuple.to_wire(),
             )
         }) {
             Admission::Reject(rejection) => rejection.into(),
@@ -649,7 +647,7 @@ impl AuthLayer {
                 &frame.body,
                 frame.sealed.as_ref(),
                 frame.count,
-                &frame.tuple.to_bytes(),
+                &frame.tuple.to_wire(),
             )
         }) {
             Admission::Reject(rejection) => rejection.into(),
@@ -824,7 +822,7 @@ impl AuthLayer {
             Some(ct) => self.open_ciphertext(ct)?,
             None => frame.body,
         };
-        let ops = BatchFrame::decode_ops(&body).ok_or(RecipeError::Malformed("batch body"))?;
+        let ops = Vec::<BatchOp>::decode(&body).ok_or(RecipeError::Malformed("batch body"))?;
         if ops.len() != frame.count as usize {
             return Err(RecipeError::Malformed("batch count"));
         }
@@ -832,8 +830,8 @@ impl AuthLayer {
     }
 
     fn decrypt(&self, body: &[u8]) -> Result<Vec<u8>, RecipeError> {
-        let ct: recipe_crypto::Ciphertext =
-            serde_json::from_slice(body).map_err(|_| RecipeError::Malformed("ciphertext"))?;
+        let ct =
+            recipe_crypto::Ciphertext::decode(body).ok_or(RecipeError::Malformed("ciphertext"))?;
         self.open_ciphertext(&ct)
     }
 

@@ -34,6 +34,7 @@ pub mod node;
 pub mod policy;
 pub mod recovery;
 pub mod view;
+pub mod wire;
 
 pub use auth::{AuthLayer, BatchVerifyOutcome, TxnVerifyOutcome, VerifyOutcome};
 pub use client_table::ClientTable;
@@ -47,3 +48,4 @@ pub use node::{NodeRole, RecipeConfig, RecipeNode};
 pub use policy::ConfidentialityMode;
 pub use recovery::{JoinCoordinator, JoinRequest, StateSnapshot};
 pub use view::ViewTracker;
+pub use wire::{FrameTag, Wire};

@@ -3,11 +3,13 @@
 
 use recipe_crypto::{Ciphertext, MacTag, Signature};
 use recipe_net::ChannelId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
+use crate::wire::Wire;
+use crate::{wire_enum, wire_struct};
+
 /// The per-message sequence tuple `t = (view, cq, cnt_cq)` of Algorithm 1.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SequenceTuple {
     /// Current view (epoch) the sender believes in.
     pub view: u64,
@@ -17,17 +19,13 @@ pub struct SequenceTuple {
     pub counter: u64,
 }
 
-impl SequenceTuple {
-    /// Canonical byte encoding folded into the MAC.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(32);
-        bytes.extend_from_slice(&self.view.to_le_bytes());
-        bytes.extend_from_slice(&self.channel.src.0.to_le_bytes());
-        bytes.extend_from_slice(&self.channel.dst.0.to_le_bytes());
-        bytes.extend_from_slice(&self.counter.to_le_bytes());
-        bytes
-    }
-}
+// `view u64 | src u64 | dst u64 | counter u64`: the same 32 bytes are folded
+// into the MAC.
+wire_struct!(SequenceTuple {
+    view,
+    channel,
+    counter
+});
 
 impl fmt::Debug for SequenceTuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -37,15 +35,15 @@ impl fmt::Debug for SequenceTuple {
 
 /// A replica-to-replica message shielded by Recipe's authentication layer:
 /// `[h_σ_cq, (metadata, req_data)]` in the paper's notation.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ShieldedMessage {
     /// Sequence tuple (view, channel, counter).
     pub tuple: SequenceTuple,
     /// Protocol-defined request kind (mirrors `recipe_net::ReqType` but carried in
     /// the authenticated body so it cannot be remapped by the network).
     pub kind: u16,
-    /// The protocol payload (serialized protocol message; ciphertext in
-    /// confidential mode).
+    /// The protocol payload (encoded protocol message; an encoded
+    /// [`Ciphertext`] in confidential mode).
     pub payload: Vec<u8>,
     /// Whether `payload` is encrypted.
     pub confidential: bool,
@@ -84,22 +82,9 @@ impl ShieldedMessage {
         buf.push(u8::from(confidential));
         buf.extend_from_slice(tuple_bytes);
     }
-
-    /// Serializes the message for the wire.
-    pub fn to_wire(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("shielded message serializes")
-    }
-
-    /// Parses a message from wire bytes.
-    pub fn from_wire(bytes: &[u8]) -> Option<ShieldedMessage> {
-        serde_json::from_slice(bytes).ok()
-    }
-
-    /// Size on the wire (drives the network cost model).
-    pub fn wire_len(&self) -> usize {
-        self.to_wire().len()
-    }
 }
+
+wire_struct!(ShieldedMessage as Shielded { tuple, kind, confidential, payload, mac });
 
 impl fmt::Debug for ShieldedMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -115,11 +100,11 @@ impl fmt::Debug for ShieldedMessage {
 }
 
 /// One protocol message carried inside a [`BatchFrame`].
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BatchOp {
     /// Protocol-defined message kind (same role as [`ShieldedMessage::kind`]).
     pub kind: u16,
-    /// The serialized protocol message.
+    /// The encoded protocol message.
     pub payload: Vec<u8>,
 }
 
@@ -129,6 +114,8 @@ impl BatchOp {
         BatchOp { kind, payload }
     }
 }
+
+wire_struct!(BatchOp { kind, payload });
 
 /// Domain-separation prefix folded into every batch-frame MAC so a batch
 /// authenticator can never be replayed as (or confused with) a single-message
@@ -146,15 +133,16 @@ const BATCH_MAC_DOMAIN: &[u8] = b"recipe.batch.v1";
 /// in a compact length-prefixed binary body (amortized framing is part of the
 /// point — per-op envelope overhead is what batching removes), and confidential
 /// mode seals that body with **one** AEAD pass, carried as a typed
-/// [`Ciphertext`] rather than re-serialized bytes.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// [`Ciphertext`] rather than re-encoded bytes.
+#[derive(Clone, PartialEq, Eq)]
 pub struct BatchFrame {
     /// Sequence tuple (view, channel, counter) — one slot for the whole frame.
     pub tuple: SequenceTuple,
     /// Number of ops in the body (authenticated, so the untrusted host cannot
     /// truncate or pad a frame without breaking the MAC).
     pub count: u32,
-    /// Compact binary encoding of the ops ([`BatchFrame::encode_ops`]); empty
+    /// Compact binary encoding of the ops (`Vec<BatchOp>`'s [`Wire`] encoding,
+    /// `count u32 | (kind u16, len u32, payload)*`); empty
     /// in confidential mode.
     pub body: Vec<u8>,
     /// The sealed body in confidential mode (`None` in plaintext mode).
@@ -167,41 +155,6 @@ impl BatchFrame {
     /// Whether the frame's body is encrypted.
     pub fn is_confidential(&self) -> bool {
         self.sealed.is_some()
-    }
-
-    /// Canonical binary encoding of a frame body (the plaintext that gets
-    /// sealed in confidential mode): `count u32 | (kind u16, len u32, payload)*`,
-    /// all little-endian.
-    pub fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
-        let payload_bytes: usize = ops.iter().map(|op| op.payload.len()).sum();
-        let mut buf = Vec::with_capacity(4 + ops.len() * 6 + payload_bytes);
-        buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-        for op in ops {
-            buf.extend_from_slice(&op.kind.to_le_bytes());
-            buf.extend_from_slice(&(op.payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&op.payload);
-        }
-        buf
-    }
-
-    /// Decodes a frame body back into ops. `None` on any malformed framing
-    /// (truncation, trailing garbage, overlong lengths).
-    pub fn decode_ops(body: &[u8]) -> Option<Vec<BatchOp>> {
-        fn take<'a>(body: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
-            let slice = body.get(*at..*at + n)?;
-            *at += n;
-            Some(slice)
-        }
-        let mut at = 0usize;
-        let count = u32::from_le_bytes(take(body, &mut at, 4)?.try_into().ok()?) as usize;
-        let mut ops = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let kind = u16::from_le_bytes(take(body, &mut at, 2)?.try_into().ok()?);
-            let len = u32::from_le_bytes(take(body, &mut at, 4)?.try_into().ok()?) as usize;
-            let payload = take(body, &mut at, len)?.to_vec();
-            ops.push(BatchOp { kind, payload });
-        }
-        (at == body.len()).then_some(ops)
     }
 
     /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext,
@@ -243,22 +196,9 @@ impl BatchFrame {
         buf.extend_from_slice(&count.to_le_bytes());
         buf.extend_from_slice(tuple_bytes);
     }
-
-    /// Serializes the frame for the wire.
-    pub fn to_wire(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("batch frame serializes")
-    }
-
-    /// Parses a frame from wire bytes.
-    pub fn from_wire(bytes: &[u8]) -> Option<BatchFrame> {
-        serde_json::from_slice(bytes).ok()
-    }
-
-    /// Size on the wire (drives the network cost model).
-    pub fn wire_len(&self) -> usize {
-        self.to_wire().len()
-    }
 }
+
+wire_struct!(BatchFrame as Batch { tuple, count, body, sealed, mac });
 
 impl fmt::Debug for BatchFrame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -276,7 +216,7 @@ impl fmt::Debug for BatchFrame {
 }
 
 /// Operations clients can request through the PUT/GET API (paper §3.3).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Operation {
     /// Store `value` under `key`.
     Put {
@@ -314,6 +254,8 @@ impl Operation {
     }
 }
 
+wire_enum!(Operation { 0 => Put { key, value }, 1 => Get { key } });
+
 /// A typed client request: the single-key fast path or a multi-key atomic
 /// transaction.
 ///
@@ -323,7 +265,7 @@ impl Operation {
 /// bare [`Operation`] always took, while a [`Request::Txn`] may span replica
 /// groups and commits (or aborts) atomically through two-phase commit carried
 /// over the shield layer — see `recipe_shard`'s transaction coordinator.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Request {
     /// One single-key operation (the fast path; bit-identical to the
     /// pre-transaction API).
@@ -377,7 +319,7 @@ const TXN_MAC_DOMAIN: &[u8] = b"recipe.txn.v1";
 /// counter-stamped (and AEAD-sealed when any participant shard's policy is
 /// confidential) — the untrusted infrastructure never observes or forges a
 /// 2PC decision.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TxnBody {
     /// Coordinator → participant: lock the touched keys and stage the writes.
     Prepare {
@@ -402,12 +344,20 @@ pub enum TxnBody {
     },
 }
 
+wire_enum!(TxnBody {
+    0 => Prepare { ops },
+    1 => Vote { granted, conflict },
+    2 => Commit {},
+    3 => Abort {},
+    4 => Ack { applied },
+});
+
 /// A shielded two-phase-commit frame between a transaction coordinator and a
-/// participant shard leader: `body` is a serialized [`TxnBody`], authenticated
+/// participant shard leader: `body` is an encoded [`TxnBody`], authenticated
 /// under the channel key together with the transaction id and the sequence
 /// tuple, with its own MAC domain (`recipe.txn.v1`) so 2PC frames, batch
 /// frames and single messages can never be confused for one another.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct TxnFrame {
     /// Sequence tuple (view, channel, counter) — one slot per frame, so a
     /// replayed or reordered 2PC frame is rejected by the trusted counter.
@@ -415,7 +365,7 @@ pub struct TxnFrame {
     /// The transaction this frame belongs to (authenticated, so a frame can
     /// never be spliced into another transaction).
     pub txn_id: u64,
-    /// Serialized [`TxnBody`]; empty in confidential mode.
+    /// Encoded [`TxnBody`]; empty in confidential mode.
     pub body: Vec<u8>,
     /// The sealed body in confidential mode (`None` in plaintext mode).
     pub sealed: Option<Ciphertext>,
@@ -428,16 +378,6 @@ impl TxnFrame {
     /// Whether the frame's body is encrypted.
     pub fn is_confidential(&self) -> bool {
         self.sealed.is_some()
-    }
-
-    /// Serializes a body for framing.
-    pub fn encode_body(body: &TxnBody) -> Vec<u8> {
-        serde_json::to_vec(body).expect("txn body serializes")
-    }
-
-    /// Decodes a frame body. `None` on malformed bytes.
-    pub fn decode_body(bytes: &[u8]) -> Option<TxnBody> {
-        serde_json::from_slice(bytes).ok()
     }
 
     /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext,
@@ -479,22 +419,9 @@ impl TxnFrame {
         buf.extend_from_slice(&txn_id.to_le_bytes());
         buf.extend_from_slice(tuple_bytes);
     }
-
-    /// Serializes the frame for the wire.
-    pub fn to_wire(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("txn frame serializes")
-    }
-
-    /// Parses a frame from wire bytes.
-    pub fn from_wire(bytes: &[u8]) -> Option<TxnFrame> {
-        serde_json::from_slice(bytes).ok()
-    }
-
-    /// Size on the wire (drives the network cost model).
-    pub fn wire_len(&self) -> usize {
-        self.to_wire().len()
-    }
 }
+
+wire_struct!(TxnFrame as Txn { tuple, txn_id, body, sealed, mac });
 
 impl fmt::Debug for TxnFrame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -512,7 +439,7 @@ impl fmt::Debug for TxnFrame {
 }
 
 /// An attested client request `[h_c_σc, (metadata, req_data)]`.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ClientRequest {
     /// Issuing client.
     pub client_id: u64,
@@ -529,26 +456,22 @@ impl ClientRequest {
     /// Bytes covered by the client signature.
     pub fn signing_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&self.client_id.to_le_bytes());
-        bytes.extend_from_slice(&self.request_id.to_le_bytes());
+        self.client_id.encode(&mut bytes);
+        self.request_id.encode(&mut bytes);
+        self.operation.encode(&mut bytes);
         bytes
-            .extend_from_slice(&serde_json::to_vec(&self.operation).expect("operation serializes"));
-        bytes
-    }
-
-    /// Serializes the request for embedding into a shielded payload.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("client request serializes")
-    }
-
-    /// Parses a request.
-    pub fn from_bytes(bytes: &[u8]) -> Option<ClientRequest> {
-        serde_json::from_slice(bytes).ok()
     }
 }
 
+wire_struct!(ClientRequest {
+    client_id,
+    request_id,
+    operation,
+    signature
+});
+
 /// Reply returned to the client once its request committed.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ClientReply {
     /// The client the reply is addressed to.
     pub client_id: u64,
@@ -569,6 +492,16 @@ mod tests {
     use recipe_crypto::MacKey;
     use recipe_net::NodeId;
 
+    /// Garbage any codec must reject: nothing at all, a valid frame cut
+    /// short, and a valid frame with a byte appended.
+    fn assert_garbage_rejected<T: Wire>(wire: &[u8]) {
+        assert!(T::decode(&[]).is_none());
+        assert!(T::decode(&wire[..wire.len() - 1]).is_none());
+        let mut padded = wire.to_vec();
+        padded.push(0);
+        assert!(T::decode(&padded).is_none());
+    }
+
     fn tuple() -> SequenceTuple {
         SequenceTuple {
             view: 3,
@@ -582,13 +515,13 @@ mod tests {
         let base = tuple();
         let mut other = base;
         other.counter = 43;
-        assert_ne!(base.to_bytes(), other.to_bytes());
+        assert_ne!(base.to_wire(), other.to_wire());
         let mut other = base;
         other.view = 4;
-        assert_ne!(base.to_bytes(), other.to_bytes());
+        assert_ne!(base.to_wire(), other.to_wire());
         let mut other = base;
         other.channel = ChannelId::new(NodeId(2), NodeId(1));
-        assert_ne!(base.to_bytes(), other.to_bytes());
+        assert_ne!(base.to_wire(), other.to_wire());
         assert_eq!(format!("{base:?}"), "(v3, cq:1->2, #42)");
     }
 
@@ -596,7 +529,7 @@ mod tests {
     fn shielded_message_wire_roundtrip() {
         let key = MacKey::from_bytes([1u8; 32]);
         let tuple = tuple();
-        let parts = ShieldedMessage::authenticated_parts(b"payload", 7, false, &tuple.to_bytes());
+        let parts = ShieldedMessage::authenticated_parts(b"payload", 7, false, &tuple.to_wire());
         let mac = key.tag(&parts[0]);
         let msg = ShieldedMessage {
             tuple,
@@ -606,14 +539,13 @@ mod tests {
             mac,
         };
         let wire = msg.to_wire();
-        assert_eq!(ShieldedMessage::from_wire(&wire).unwrap(), msg);
-        assert_eq!(msg.wire_len(), wire.len());
-        assert!(ShieldedMessage::from_wire(b"not json").is_none());
+        assert_eq!(ShieldedMessage::decode(&wire).unwrap(), msg);
+        assert_garbage_rejected::<ShieldedMessage>(&wire);
     }
 
     #[test]
     fn authenticated_parts_bind_every_field() {
-        let t = tuple().to_bytes();
+        let t = tuple().to_wire();
         let a = ShieldedMessage::authenticated_parts(b"p", 1, false, &t);
         let b = ShieldedMessage::authenticated_parts(b"p", 2, false, &t);
         let c = ShieldedMessage::authenticated_parts(b"p", 1, true, &t);
@@ -631,9 +563,9 @@ mod tests {
             BatchOp::new(1, b"a".to_vec()),
             BatchOp::new(2, b"bb".to_vec()),
         ];
-        let body = BatchFrame::encode_ops(&ops);
-        assert_eq!(BatchFrame::decode_ops(&body).unwrap(), ops);
-        let parts = BatchFrame::authenticated_parts(&body, None, 2, &tuple.to_bytes());
+        let body = ops.to_wire();
+        assert_eq!(Vec::<BatchOp>::decode(&body).unwrap(), ops);
+        let parts = BatchFrame::authenticated_parts(&body, None, 2, &tuple.to_wire());
         let frame = BatchFrame {
             tuple,
             count: 2,
@@ -643,33 +575,32 @@ mod tests {
         };
         assert!(!frame.is_confidential());
         let wire = frame.to_wire();
-        assert_eq!(BatchFrame::from_wire(&wire).unwrap(), frame);
-        assert_eq!(frame.wire_len(), wire.len());
-        // A batch wire never parses as a single message and vice versa (disjoint
-        // required fields), so the shield can discriminate by try-parsing.
-        assert!(ShieldedMessage::from_wire(&wire).is_none());
-        assert!(BatchFrame::from_wire(b"not json").is_none());
+        assert_eq!(BatchFrame::decode(&wire).unwrap(), frame);
+        // A batch wire never decodes as a single message (distinct frame
+        // tags), so the shield can dispatch on the first byte.
+        assert!(ShieldedMessage::decode(&wire).is_none());
+        assert_garbage_rejected::<BatchFrame>(&wire);
         // The MAC input is domain-separated from single-message MAC inputs.
-        let single = ShieldedMessage::authenticated_parts(&body, 1, false, &tuple.to_bytes());
+        let single = ShieldedMessage::authenticated_parts(&body, 1, false, &tuple.to_wire());
         assert_ne!(parts, single);
     }
 
     #[test]
     fn batch_body_encoding_rejects_malformed_framing() {
         let ops = vec![BatchOp::new(9, vec![1, 2, 3]), BatchOp::new(0, Vec::new())];
-        let body = BatchFrame::encode_ops(&ops);
-        assert_eq!(BatchFrame::decode_ops(&body).unwrap(), ops);
+        let body = ops.to_wire();
+        assert_eq!(Vec::<BatchOp>::decode(&body).unwrap(), ops);
         // Truncation, trailing garbage and inflated counts all fail.
-        assert!(BatchFrame::decode_ops(&body[..body.len() - 1]).is_none());
+        assert!(Vec::<BatchOp>::decode(&body[..body.len() - 1]).is_none());
         let mut padded = body.clone();
         padded.push(0);
-        assert!(BatchFrame::decode_ops(&padded).is_none());
+        assert!(Vec::<BatchOp>::decode(&padded).is_none());
         let mut inflated = body.clone();
         inflated[0] = 200;
-        assert!(BatchFrame::decode_ops(&inflated).is_none());
-        assert_eq!(BatchFrame::decode_ops(&[]), None);
+        assert!(Vec::<BatchOp>::decode(&inflated).is_none());
+        assert_eq!(Vec::<BatchOp>::decode(&[]), None);
         assert_eq!(
-            BatchFrame::decode_ops(&0u32.to_le_bytes()),
+            Vec::<BatchOp>::decode(&0u32.to_le_bytes()),
             Some(Vec::new())
         );
     }
@@ -677,7 +608,7 @@ mod tests {
     #[test]
     fn batch_authenticated_parts_bind_every_field() {
         use recipe_crypto::Nonce;
-        let t = tuple().to_bytes();
+        let t = tuple().to_wire();
         let a = BatchFrame::authenticated_parts(b"body", None, 2, &t);
         assert_ne!(a, BatchFrame::authenticated_parts(b"body", None, 3, &t));
         assert_ne!(a, BatchFrame::authenticated_parts(b"ydob", None, 2, &t));
@@ -685,7 +616,7 @@ mod tests {
         other.counter += 1;
         assert_ne!(
             a,
-            BatchFrame::authenticated_parts(b"body", None, 2, &other.to_bytes())
+            BatchFrame::authenticated_parts(b"body", None, 2, &other.to_wire())
         );
         // Sealed frames authenticate the nonce and ciphertext instead.
         let ct = Ciphertext {
@@ -742,17 +673,18 @@ mod tests {
     fn txn_frame_wire_roundtrip_and_mac_domain_separation() {
         let key = MacKey::from_bytes([1u8; 32]);
         let tuple = tuple();
-        let body = TxnFrame::encode_body(&TxnBody::Prepare {
+        let body = TxnBody::Prepare {
             ops: vec![Operation::Put {
                 key: b"k".to_vec(),
                 value: b"v".to_vec(),
             }],
-        });
+        }
+        .to_wire();
         assert!(matches!(
-            TxnFrame::decode_body(&body),
+            TxnBody::decode(&body),
             Some(TxnBody::Prepare { .. })
         ));
-        let parts = TxnFrame::authenticated_parts(&body, None, 7, &tuple.to_bytes());
+        let parts = TxnFrame::authenticated_parts(&body, None, 7, &tuple.to_wire());
         let frame = TxnFrame {
             tuple,
             txn_id: 7,
@@ -762,16 +694,15 @@ mod tests {
         };
         assert!(!frame.is_confidential());
         let wire = frame.to_wire();
-        assert_eq!(TxnFrame::from_wire(&wire).unwrap(), frame);
-        assert_eq!(frame.wire_len(), wire.len());
-        // A txn frame never parses as a single message or batch frame and vice
-        // versa (disjoint required fields), so the shield can discriminate.
-        assert!(ShieldedMessage::from_wire(&wire).is_none());
-        assert!(BatchFrame::from_wire(&wire).is_none());
-        assert!(TxnFrame::from_wire(b"not json").is_none());
+        assert_eq!(TxnFrame::decode(&wire).unwrap(), frame);
+        // A txn frame never decodes as a single message or batch frame
+        // (distinct frame tags), so the shield can dispatch on one byte.
+        assert!(ShieldedMessage::decode(&wire).is_none());
+        assert!(BatchFrame::decode(&wire).is_none());
+        assert_garbage_rejected::<TxnFrame>(&wire);
         // The MAC input is domain-separated from both other frame families.
-        let single = ShieldedMessage::authenticated_parts(&body, 1, false, &tuple.to_bytes());
-        let batch = BatchFrame::authenticated_parts(&body, None, 1, &tuple.to_bytes());
+        let single = ShieldedMessage::authenticated_parts(&body, 1, false, &tuple.to_wire());
+        let batch = BatchFrame::authenticated_parts(&body, None, 1, &tuple.to_wire());
         assert_ne!(parts, single);
         assert_ne!(parts, batch);
     }
@@ -779,7 +710,7 @@ mod tests {
     #[test]
     fn txn_authenticated_parts_bind_every_field() {
         use recipe_crypto::Nonce;
-        let t = tuple().to_bytes();
+        let t = tuple().to_wire();
         let a = TxnFrame::authenticated_parts(b"body", None, 7, &t);
         // Splicing a frame into another transaction changes the MAC input.
         assert_ne!(a, TxnFrame::authenticated_parts(b"body", None, 8, &t));
@@ -788,7 +719,7 @@ mod tests {
         other.counter += 1;
         assert_ne!(
             a,
-            TxnFrame::authenticated_parts(b"body", None, 7, &other.to_bytes())
+            TxnFrame::authenticated_parts(b"body", None, 7, &other.to_wire())
         );
         let ct = Ciphertext {
             nonce: Nonce::from_u128(9),
@@ -806,11 +737,11 @@ mod tests {
             operation: Operation::Get { key: b"x".to_vec() },
             signature: None,
         };
-        let bytes = req.to_bytes();
-        assert_eq!(ClientRequest::from_bytes(&bytes).unwrap(), req);
+        let bytes = req.to_wire();
+        assert_eq!(ClientRequest::decode(&bytes).unwrap(), req);
         let mut other = req.clone();
         other.request_id = 5;
         assert_ne!(req.signing_bytes(), other.signing_bytes());
-        assert!(ClientRequest::from_bytes(b"garbage").is_none());
+        assert_garbage_rejected::<ClientRequest>(&bytes);
     }
 }

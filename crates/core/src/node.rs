@@ -32,6 +32,7 @@ use crate::error::RecipeError;
 use crate::membership::Membership;
 use crate::message::ShieldedMessage;
 use crate::view::{ViewAction, ViewTracker};
+use crate::wire::Wire;
 
 /// The role a node currently plays in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -426,7 +427,7 @@ mod tests {
 
         let delivered = fabric.drain(NodeId(1));
         assert_eq!(delivered.len(), 1);
-        let shielded = ShieldedMessage::from_wire(&delivered[0].buf.payload).unwrap();
+        let shielded = ShieldedMessage::decode(&delivered[0].buf.payload).unwrap();
         match nodes[1].verify_msg(&shielded) {
             VerifyOutcome::Accept { payload: got, .. } => assert_eq!(got, payload),
             other => panic!("expected Accept, got {other:?}"),

@@ -44,6 +44,8 @@ pub struct Config {
     pub seal_tokens: Vec<String>,
     /// Identifier substrings that count as cost-accounting evidence.
     pub charge_evidence: Vec<String>,
+    /// Path prefixes of the wire modules, where `serde_json` is banned.
+    pub wire_paths: Vec<String>,
     /// Config-level suppressions.
     pub allows: Vec<PathAllow>,
 }
@@ -58,6 +60,7 @@ impl Default for Config {
             charged_paths: Vec::new(),
             seal_tokens: default_seal_tokens(),
             charge_evidence: default_charge_evidence(),
+            wire_paths: Vec::new(),
             allows: Vec::new(),
         }
     }
@@ -99,6 +102,10 @@ pub fn parse_config(text: &str) -> Result<Config, ScenarioError> {
         if let Some(evidence) = shield.opt::<Vec<String>>("charge_evidence")? {
             config.charge_evidence = evidence;
         }
+        Ok(())
+    })?;
+    root.table("wire", |wire| {
+        config.wire_paths = wire.opt_or("paths", Vec::new())?;
         Ok(())
     })?;
     config.allows = root.tables("allow", |_, allow| {
@@ -164,6 +171,9 @@ core_paths = ["crates/sim/src"]
 send_allowed = ["crates/protocols/src"]
 charged_paths = ["crates/shard/src/txn.rs"]
 
+[wire]
+paths = ["crates/core/src"]
+
 [[allow]]
 rule = "float-arith"
 path = "crates/sim/src/cost.rs"
@@ -173,6 +183,7 @@ reason = "fixed-order accumulation"
         .expect("config parses");
         assert_eq!(config.exclude, vec!["crates/lint/fixtures"]);
         assert_eq!(config.core_paths, vec!["crates/sim/src"]);
+        assert_eq!(config.wire_paths, vec!["crates/core/src"]);
         assert_eq!(config.allows.len(), 1);
         assert!(config
             .allow_for("float-arith", "crates/sim/src/cost.rs")

@@ -1,6 +1,6 @@
 //! The rule catalogue and per-file analysis.
 //!
-//! Three families, mirroring the invariants the rest of the workspace
+//! Four families, mirroring the invariants the rest of the workspace
 //! enforces dynamically:
 //!
 //! * **determinism** — the simulation core (`lint.toml`'s
@@ -12,7 +12,9 @@
 //!   constants are unique and well-shaped workspace-wide, and audited send
 //!   paths show cost-accounting evidence next to their sealing calls;
 //! * **hygiene** — non-test, non-bin library code does not `unwrap`,
-//!   `panic!` or `println!` its way past error handling.
+//!   `panic!` or `println!` its way past error handling;
+//! * **wire** — the modules that build frames (`lint.toml`'s `wire.paths`)
+//!   use the one binary wire codec, never `serde_json`.
 //!
 //! Everything is token-level pattern matching over [`crate::lexer`] output
 //! — deliberately no `syn`, in the same idiom as `recipe_scenario::toml`.
@@ -27,7 +29,7 @@ use crate::scope::Scopes;
 pub struct Rule {
     /// Stable kebab-case id, used in suppressions and `lint.toml`.
     pub id: &'static str,
-    /// Rule family (`determinism`, `shield`, `hygiene`, `meta`).
+    /// Rule family (`determinism`, `shield`, `hygiene`, `wire`, `meta`).
     pub family: &'static str,
     /// One-line description for `--help` and the README catalogue.
     pub summary: &'static str,
@@ -104,6 +106,11 @@ pub const RULES: &[Rule] = &[
         id: "stale-allow",
         family: "meta",
         summary: "a suppression (inline or lint.toml [[allow]]) that no longer silences any finding",
+    },
+    Rule {
+        id: "wire-json",
+        family: "wire",
+        summary: "serde_json in a wire module (every frame uses the recipe_core::wire codec)",
     },
 ];
 
@@ -195,6 +202,9 @@ pub fn analyze_file(
     }
     if is_lib_path(path) {
         hygiene(path, tokens, scopes, &mut out);
+    }
+    if Config::path_matches(path, &config.wire_paths) {
+        wire_json(path, tokens, &mut out);
     }
     out
 }
@@ -559,6 +569,19 @@ fn uncharged_send(
     }
 }
 
+/// wire-json: any `serde_json` token in a wire module, test code included —
+/// a JSON round trip anywhere there is a second codec for the same frames.
+fn wire_json(path: &str, tokens: &[Token], out: &mut FileAnalysis) {
+    for t in tokens.iter().filter(|t| t.is_ident("serde_json")) {
+        out.findings.push(Finding::new(
+            "wire-json",
+            path,
+            t.line,
+            "`serde_json` in a wire module — frames and protocol messages use the one binary codec (`recipe_core::wire::Wire`)",
+        ));
+    }
+}
+
 /// unwrap-in-lib, panic-in-lib, print-in-lib.
 fn hygiene(path: &str, tokens: &[Token], scopes: &Scopes, out: &mut FileAnalysis) {
     const UNWRAPS: &[&str] = &["unwrap", "expect", "unwrap_err"];
@@ -711,6 +734,27 @@ mod tests {
         assert!(rules_fired("crates/foo/src/main.rs", src).is_empty());
         assert!(rules_fired("crates/foo/tests/t.rs", src).is_empty());
         assert!(rules_fired("crates/foo/src/bin/tool.rs", src).is_empty());
+    }
+
+    #[test]
+    fn wire_json_fires_only_under_wire_paths() {
+        let config = Config {
+            wire_paths: vec!["wire".into()],
+            ..Config::default()
+        };
+        let src = "fn f(m: &M) -> Vec<u8> { serde_json::to_vec(m).unwrap_or_default() }\n\
+                   #[cfg(test)] mod tests { fn g() { let _ = serde_json::from_slice::<M>(b\"\"); } }";
+        let lexed = lex(src);
+        let scopes = scan(&lexed.tokens);
+        let fired = |path| {
+            analyze_file(path, &lexed.tokens, &scopes, &config)
+                .findings
+                .into_iter()
+                .filter(|f| f.rule == "wire-json")
+                .count()
+        };
+        assert_eq!(fired("wire/src/codec.rs"), 2, "test code is covered too");
+        assert_eq!(fired("report/src/export.rs"), 0);
     }
 
     #[test]

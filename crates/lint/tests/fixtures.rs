@@ -8,7 +8,8 @@
 //! (a path the analyzer itself classifies as test collateral), so each file
 //! is linted under a synthetic workspace path that puts it in the right
 //! rule scope: determinism fixtures in a core crate, the uncharged-send
-//! fixture on an audited send path, the rest in ordinary library code.
+//! fixture on an audited send path, the wire-json fixture in a wire module,
+//! the rest in ordinary library code.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -26,6 +27,7 @@ fn synthetic_path(rule: &str) -> &'static str {
             "crates/core/src/fixture.rs"
         }
         "uncharged-send" => "crates/shard/src/fixture.rs",
+        "wire-json" => "crates/protocols/src/fixture.rs",
         _ => "crates/kv/src/fixture.rs",
     }
 }
@@ -35,6 +37,7 @@ fn fixture_config() -> Config {
         core_paths: vec!["crates/core/src".into()],
         send_allowed: vec!["crates/protocols/src".into()],
         charged_paths: vec!["crates/shard/src".into()],
+        wire_paths: vec!["crates/protocols/src".into()],
         ..Config::default()
     }
 }

@@ -14,39 +14,74 @@
 
 use std::collections::HashMap;
 
-use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
+use recipe_core::{
+    wire_enum, ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation, Wire,
+};
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
-use serde::{Deserialize, Serialize};
 
 use crate::shield::ProtocolShield;
 
 /// ABD protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum AbdMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AbdMsg {
     /// Round 1 of a write: ask for the key's current timestamp.
-    GetTs { op: u64, key: Vec<u8> },
+    GetTs {
+        /// The coordinator's operation id.
+        op: u64,
+        /// Key queried.
+        key: Vec<u8>,
+    },
     /// Reply to `GetTs`.
-    TsReply { op: u64, ts: Timestamp },
+    TsReply {
+        /// The operation answered.
+        op: u64,
+        /// The key's current timestamp.
+        ts: Timestamp,
+    },
     /// Round 2 of a write (and read write-back): store the value if newer.
     Put {
+        /// The coordinator's operation id.
         op: u64,
+        /// Key written.
         key: Vec<u8>,
+        /// Value written.
         value: Vec<u8>,
+        /// Timestamp of the write.
         ts: Timestamp,
     },
     /// Acknowledgement of a `Put`.
-    PutAck { op: u64 },
+    PutAck {
+        /// The operation acknowledged.
+        op: u64,
+    },
     /// Round 1 of a read: ask for value + timestamp.
-    GetFull { op: u64, key: Vec<u8> },
+    GetFull {
+        /// The coordinator's operation id.
+        op: u64,
+        /// Key read.
+        key: Vec<u8>,
+    },
     /// Reply to `GetFull`.
     FullReply {
+        /// The operation answered.
         op: u64,
+        /// The stored value, if any.
         value: Option<Vec<u8>>,
+        /// Its timestamp.
         ts: Timestamp,
     },
 }
+
+wire_enum!(AbdMsg {
+    0 => GetTs { op, key },
+    1 => TsReply { op, ts },
+    2 => Put { op, key, value, ts },
+    3 => PutAck { op },
+    4 => GetFull { op, key },
+    5 => FullReply { op, value, ts },
+});
 
 /// Coordinator-side state of one in-flight operation.
 #[derive(Debug)]
@@ -144,9 +179,7 @@ impl AbdReplica {
     }
 
     fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &AbdMsg) {
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-        let payload = serde_json::to_vec(msg).expect("abd message serializes");
-        let wire = self.shield.wrap(dst, 1, &payload);
+        let wire = self.shield.wrap(dst, 1, &msg.to_wire());
         ctx.send(dst, wire);
     }
 
@@ -392,7 +425,7 @@ impl Replica for AbdReplica {
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Ok(msg) = serde_json::from_slice::<AbdMsg>(&payload) {
+            if let Some(msg) = AbdMsg::decode(&payload) {
                 self.handle(from, msg, ctx);
             }
         }

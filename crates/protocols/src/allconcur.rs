@@ -19,28 +19,44 @@
 
 use std::collections::{HashMap, HashSet};
 
-use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
+use recipe_core::{
+    wire_enum, ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation, Wire,
+};
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport};
-use serde::{Deserialize, Serialize};
 
 use crate::shield::ProtocolShield;
 
 /// AllConcur protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum AllConcurMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AllConcurMsg {
     /// A proposed write, broadcast by its coordinator.
     Propose {
+        /// The coordinator's operation id.
         op: u64,
+        /// Key written.
         key: Vec<u8>,
+        /// Value written.
         value: Vec<u8>,
     },
     /// Acknowledgement that the proposal was received and buffered.
-    Track { op: u64 },
+    Track {
+        /// The operation acknowledged.
+        op: u64,
+    },
     /// The proposer observed acknowledgements from all peers: apply the write.
-    Deliver { op: u64 },
+    Deliver {
+        /// The operation to apply.
+        op: u64,
+    },
 }
+
+wire_enum!(AllConcurMsg {
+    0 => Propose { op, key, value },
+    1 => Track { op },
+    2 => Deliver { op },
+});
 
 #[derive(Debug)]
 struct PendingProposal {
@@ -117,9 +133,7 @@ impl AllConcurReplica {
     }
 
     fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &AllConcurMsg) {
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-        let payload = serde_json::to_vec(msg).expect("allconcur message serializes");
-        let wire = self.shield.wrap(dst, 1, &payload);
+        let wire = self.shield.wrap(dst, 1, &msg.to_wire());
         ctx.send(dst, wire);
     }
 
@@ -218,7 +232,7 @@ impl Replica for AllConcurReplica {
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Ok(msg) = serde_json::from_slice::<AllConcurMsg>(&payload) {
+            if let Some(msg) = AllConcurMsg::decode(&payload) {
                 self.handle(from, msg, ctx);
             }
         }

@@ -8,11 +8,12 @@
 //! can verify the integrity of its local store (paper §B.2, choice C). Local tail
 //! reads are why R-CR shows the largest speedups on read-heavy workloads (Figure 4).
 
-use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
+use recipe_core::{
+    wire_enum, ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation, Wire,
+};
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
-use serde::{Deserialize, Serialize};
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::shield::ProtocolShield;
@@ -21,17 +22,24 @@ use crate::shield::ProtocolShield;
 const TOKEN_BATCH_FLUSH: u64 = 1;
 
 /// Chain Replication protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum ChainMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChainMsg {
     /// Forwarded write, travelling head → tail.
     Forward {
+        /// The head's sequence number for the write.
         seq: u64,
+        /// Key written.
         key: Vec<u8>,
+        /// Value written.
         value: Vec<u8>,
+        /// Issuing client.
         client_id: u64,
+        /// The client's request id.
         request_id: u64,
     },
 }
+
+wire_enum!(ChainMsg { 0 => Forward { seq, key, value, client_id, request_id } });
 
 /// A Chain Replication replica (native or Recipe-transformed).
 pub struct ChainReplica {
@@ -148,9 +156,7 @@ impl ChainReplica {
                     client_id,
                     request_id,
                 };
-                // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-                let payload = serde_json::to_vec(&forward).expect("chain message serializes");
-                self.enqueue(ctx, next, payload);
+                self.enqueue(ctx, next, forward.to_wire());
             }
             None => {
                 // This is the tail: the write is committed; answer the client.
@@ -229,7 +235,7 @@ impl Replica for ChainReplica {
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Ok(msg) = serde_json::from_slice::<ChainMsg>(&payload) {
+            if let Some(msg) = ChainMsg::decode(&payload) {
                 self.forward_or_commit(msg, ctx);
             }
         }

@@ -16,10 +16,9 @@
 //! charges `migration_epc_pressure` per chunk, mirroring §B.3's batch-size
 //! trade-off).
 
-use recipe_core::{ConfidentialityMode, Membership};
+use recipe_core::{wire_enum, wire_struct, ConfidentialityMode, Membership, Wire};
 use recipe_net::NodeId;
 use recipe_sim::RangeEntry;
-use serde::{Deserialize, Serialize};
 
 use crate::shield::ProtocolShield;
 
@@ -32,7 +31,7 @@ const KIND_MIGRATION: u16 = 0x4D49; // "MI"
 const ENDPOINT_BASE: u64 = 0xE000_0000;
 
 /// Which migration phase a chunk belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkPhase {
     /// Sealed snapshot of the moving range at the cut point.
     Snapshot,
@@ -43,7 +42,7 @@ pub enum ChunkPhase {
 }
 
 /// One bounded batch of range records in flight between shard leaders.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationChunk {
     /// Identifier of the migration this chunk belongs to.
     pub migration_id: u64,
@@ -61,6 +60,14 @@ impl MigrationChunk {
         self.entries.iter().map(RangeEntry::payload_len).sum()
     }
 }
+
+wire_enum!(ChunkPhase { 0 => Snapshot {}, 1 => CatchUp {}, 2 => Final {} });
+wire_struct!(MigrationChunk {
+    migration_id,
+    phase,
+    seq,
+    entries
+});
 
 /// Maps a store's verified range export into wire records — the shared body
 /// of every replica's `RangeStateTransfer::export_range`.
@@ -202,12 +209,10 @@ impl MigrationChannel {
             chunk.migration_id, self.migration_id,
             "chunk sealed on the wrong migration's channel"
         );
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory chunk cannot fail")
-        let payload = serde_json::to_vec(chunk).expect("migration chunk serializes");
         self.sender.wrap(
             endpoint(self.recipient, self.migration_id),
             KIND_MIGRATION,
-            &payload,
+            &chunk.to_wire(),
         )
     }
 
@@ -223,7 +228,7 @@ impl MigrationChannel {
         if *kind != KIND_MIGRATION {
             return None;
         }
-        let chunk: MigrationChunk = serde_json::from_slice(payload).ok()?;
+        let chunk = MigrationChunk::decode(payload)?;
         (chunk.migration_id == self.migration_id).then_some(chunk)
     }
 

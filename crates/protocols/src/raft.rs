@@ -16,11 +16,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
+use recipe_core::{
+    wire_enum, ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation, Wire,
+};
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
-use serde::{Deserialize, Serialize};
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::shield::ProtocolShield;
@@ -37,28 +38,64 @@ const HEARTBEAT_PERIOD_NS: u64 = 10_000_000; // 10 ms
 const ELECTION_TIMEOUT_NS: u64 = 35_000_000; // 35 ms
 
 /// Raft protocol messages (carried as Recipe-shielded payloads).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum RaftMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RaftMsg {
     /// Leader → followers: replicate one log entry.
     Append {
+        /// The leader's view.
         view: u64,
+        /// Log index of the entry.
         index: u64,
+        /// Key written.
         key: Vec<u8>,
+        /// Value written.
         value: Vec<u8>,
+        /// Issuing client.
         client_id: u64,
+        /// The client's request id.
         request_id: u64,
     },
     /// Follower → leader: entry buffered.
-    AppendAck { view: u64, index: u64 },
+    AppendAck {
+        /// The follower's view.
+        view: u64,
+        /// Log index acknowledged.
+        index: u64,
+    },
     /// Leader → followers: apply the entry.
-    Commit { view: u64, index: u64 },
+    Commit {
+        /// The leader's view.
+        view: u64,
+        /// Log index to apply.
+        index: u64,
+    },
     /// Follower → leader: entry applied.
-    CommitAck { view: u64, index: u64 },
+    CommitAck {
+        /// The follower's view.
+        view: u64,
+        /// Log index applied.
+        index: u64,
+    },
     /// Leader → followers: liveness heartbeat.
-    Heartbeat { view: u64 },
+    Heartbeat {
+        /// The leader's view.
+        view: u64,
+    },
     /// Any node → all: vote to move to `new_view`.
-    ViewChange { new_view: u64 },
+    ViewChange {
+        /// The view voted for.
+        new_view: u64,
+    },
 }
+
+wire_enum!(RaftMsg {
+    0 => Append { view, index, key, value, client_id, request_id },
+    1 => AppendAck { view, index },
+    2 => Commit { view, index },
+    3 => CommitAck { view, index },
+    4 => Heartbeat { view },
+    5 => ViewChange { new_view },
+});
 
 #[derive(Debug, Clone)]
 struct PendingEntry {
@@ -183,9 +220,7 @@ impl RaftReplica {
     }
 
     fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &RaftMsg) {
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-        let payload = serde_json::to_vec(msg).expect("raft message serializes");
-        self.enqueue(ctx, dst, payload);
+        self.enqueue(ctx, dst, msg.to_wire());
     }
 
     fn broadcast(&mut self, ctx: &mut Ctx, msg: &RaftMsg) {
@@ -408,7 +443,7 @@ impl Replica for RaftReplica {
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Ok(msg) = serde_json::from_slice::<RaftMsg>(&payload) {
+            if let Some(msg) = RaftMsg::decode(&payload) {
                 self.handle_protocol_message(from, msg, ctx);
             }
         }

@@ -12,9 +12,11 @@
 //!   end-to-end in `recipe-core`/`recipe-attest`; here the provisioning result is
 //!   installed directly so protocol unit tests stay fast).
 
+use recipe_core::wire::{put_bytes, Reader};
+use recipe_core::wire_struct;
 use recipe_core::{
-    AuthLayer, BatchFrame, BatchOp, BatchVerifyOutcome, ConfidentialityMode, Membership,
-    ShieldedMessage, TxnBody, TxnFrame, TxnVerifyOutcome, VerifyOutcome,
+    AuthLayer, BatchFrame, BatchOp, BatchVerifyOutcome, ConfidentialityMode, FrameTag, Membership,
+    ShieldedMessage, TxnBody, TxnFrame, TxnVerifyOutcome, VerifyOutcome, Wire,
 };
 use recipe_crypto::{CipherKey, MacKey};
 use recipe_net::NodeId;
@@ -49,30 +51,36 @@ impl ProtocolMode {
     }
 }
 
-/// Framing used by native (untransformed) protocols.
-#[derive(Serialize, Deserialize)]
-struct NativeFrame {
-    kind: u16,
-    payload: Vec<u8>,
+/// A native (untransformed) single-message frame:
+/// `tag | kind u16 | payload`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NativeFrame {
+    /// Protocol-defined message kind.
+    pub kind: u16,
+    /// The encoded protocol message.
+    pub payload: Vec<u8>,
 }
 
-/// Borrowed encoder for [`NativeFrame`]: serializes straight from the caller's
-/// payload slice, so the hot wrap path allocates the wire buffer only (the
-/// derived path would first copy the payload into an owned frame).
-struct NativeFrameRef<'a> {
-    kind: u16,
-    payload: &'a [u8],
+impl NativeFrame {
+    /// Appends the encoding of a frame straight from the caller's payload
+    /// slice, so the hot wrap path copies the payload once.
+    fn encode_parts(kind: u16, payload: &[u8], out: &mut Vec<u8>) {
+        out.push(FrameTag::NativeSingle as u8);
+        kind.encode(out);
+        put_bytes(out, payload);
+    }
 }
 
-impl serde::Serialize for NativeFrameRef<'_> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("kind".to_string(), serde::Serialize::to_value(&self.kind)),
-            (
-                "payload".to_string(),
-                serde::Serialize::to_value(self.payload),
-            ),
-        ])
+impl Wire for NativeFrame {
+    fn encode(&self, out: &mut Vec<u8>) {
+        Self::encode_parts(self.kind, &self.payload, out);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.expect_tag(FrameTag::NativeSingle)?;
+        Some(NativeFrame {
+            kind: r.read()?,
+            payload: r.read()?,
+        })
     }
 }
 
@@ -80,10 +88,14 @@ impl serde::Serialize for NativeFrameRef<'_> {
 /// counterpart of [`recipe_core::BatchFrame`], so the native baselines amortize
 /// the same per-message framing cost (minus the security layers) and the
 /// Figure 6a comparison stays apples-to-apples under batching.
-#[derive(Serialize, Deserialize)]
-struct NativeBatch {
-    ops: Vec<BatchOp>,
+/// `tag | count u32 | (kind u16 | payload)*`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NativeBatch {
+    /// The batched messages, in send order.
+    pub ops: Vec<BatchOp>,
 }
+
+wire_struct!(NativeBatch as NativeBatch { ops });
 
 /// The deliverable messages produced by one [`ProtocolShield::unwrap`] call.
 ///
@@ -334,7 +346,9 @@ impl ProtocolShield {
         self.sealed_ops += 1;
         match &mut self.auth {
             None => {
-                serde_json::to_vec(&NativeFrameRef { kind, payload }).expect("frame serializes")
+                let mut out = Vec::with_capacity(payload.len() + 7);
+                NativeFrame::encode_parts(kind, payload, &mut out);
+                out
             }
             Some(auth) => auth
                 .shield(dst, kind, payload)
@@ -345,7 +359,7 @@ impl ProtocolShield {
 
     /// Wraps a whole batch of protocol messages for `dst` into one wire frame:
     /// a [`recipe_core::BatchFrame`] under one counter/MAC in Recipe mode, a
-    /// plain [`NativeBatch`](self) frame in native mode.
+    /// plain [`NativeBatch`] frame in native mode.
     ///
     /// # Panics
     /// Panics on an empty batch — flushing nothing is a caller bug.
@@ -354,7 +368,7 @@ impl ProtocolShield {
         self.sealed_frames += 1;
         self.sealed_ops += ops.len() as u64;
         match &mut self.auth {
-            None => serde_json::to_vec(&NativeBatch { ops }).expect("batch frame serializes"),
+            None => NativeBatch { ops }.to_wire(),
             Some(auth) => auth
                 .shield_batch(dst, &ops)
                 .expect("channel key provisioned for every peer")
@@ -391,7 +405,7 @@ impl ProtocolShield {
             .auth
             .as_mut()
             .expect("2PC frames require a Recipe-mode shield");
-        let Some(frame) = TxnFrame::from_wire(bytes) else {
+        let Some(frame) = TxnFrame::decode(bytes) else {
             self.dropped += 1;
             return None;
         };
@@ -408,60 +422,58 @@ impl ProtocolShield {
     }
 
     /// Unwraps wire bytes received from `from` (single messages and batch
-    /// frames alike — the frame type is discriminated on the wire).
+    /// frames alike — the leading [`FrameTag`] byte picks the decoder).
     ///
     /// Returns every message that became deliverable: the message(s) carried by
     /// this frame if it was in order, plus any previously buffered "future"
     /// frames that its arrival released. Returns an empty [`Frames`] if the
-    /// frame was rejected (tampered, replayed, wrong view) — the protocol
-    /// simply never sees it, which is the whole point of the transformation.
+    /// frame was rejected (tampered, replayed, wrong view, malformed) — the
+    /// protocol simply never sees it, which is the whole point of the
+    /// transformation.
     pub fn unwrap(&mut self, from: NodeId, bytes: &[u8]) -> Frames {
         let mut out = Frames::Empty;
-        match &mut self.auth {
-            None => {
-                if let Ok(frame) = serde_json::from_slice::<NativeFrame>(bytes) {
-                    self.opened_frames += 1;
-                    out.push((frame.kind, frame.payload));
-                } else if let Ok(batch) = serde_json::from_slice::<NativeBatch>(bytes) {
-                    self.opened_frames += 1;
-                    for op in batch.ops {
-                        out.push((op.kind, op.payload));
-                    }
-                } else {
-                    self.dropped += 1;
+        let accepted = match (&mut self.auth, FrameTag::of(bytes)) {
+            (None, Some(FrameTag::NativeSingle)) => NativeFrame::decode(bytes).map(|frame| {
+                out.push((frame.kind, frame.payload));
+            }),
+            (None, Some(FrameTag::NativeBatch)) => NativeBatch::decode(bytes).map(|batch| {
+                for op in batch.ops {
+                    out.push((op.kind, op.payload));
                 }
+            }),
+            (Some(auth), Some(FrameTag::Shielded)) => {
+                ShieldedMessage::decode(bytes).and_then(|msg| match auth.verify_owned(msg) {
+                    VerifyOutcome::Accept { kind, payload, .. } => {
+                        self.opened_frames += 1;
+                        out.push((kind, payload));
+                        Some(())
+                    }
+                    VerifyOutcome::Future { .. } => Some(()),
+                    _ => None,
+                })
             }
+            (Some(auth), Some(FrameTag::Batch)) => {
+                BatchFrame::decode(bytes).and_then(|frame| match auth.verify_batch(frame) {
+                    BatchVerifyOutcome::Accept { ops, .. } => {
+                        self.opened_frames += 1;
+                        for op in ops {
+                            out.push((op.kind, op.payload));
+                        }
+                        Some(())
+                    }
+                    BatchVerifyOutcome::Future { .. } => Some(()),
+                    _ => None,
+                })
+            }
+            _ => None,
+        };
+        if accepted.is_none() {
+            self.dropped += 1;
+            return Frames::Empty;
+        }
+        match &mut self.auth {
+            None => self.opened_frames += 1,
             Some(auth) => {
-                if let Some(msg) = ShieldedMessage::from_wire(bytes) {
-                    match auth.verify_owned(msg) {
-                        VerifyOutcome::Accept { kind, payload, .. } => {
-                            self.opened_frames += 1;
-                            out.push((kind, payload));
-                        }
-                        VerifyOutcome::Future { .. } => {}
-                        _ => {
-                            self.dropped += 1;
-                            return out;
-                        }
-                    }
-                } else if let Some(frame) = BatchFrame::from_wire(bytes) {
-                    match auth.verify_batch(frame) {
-                        BatchVerifyOutcome::Accept { ops, .. } => {
-                            self.opened_frames += 1;
-                            for op in ops {
-                                out.push((op.kind, op.payload));
-                            }
-                        }
-                        BatchVerifyOutcome::Future { .. } => {}
-                        _ => {
-                            self.dropped += 1;
-                            return out;
-                        }
-                    }
-                } else {
-                    self.dropped += 1;
-                    return out;
-                }
                 for (kind, payload, _) in auth.take_ready(from) {
                     out.push((kind, payload));
                 }

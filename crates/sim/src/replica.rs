@@ -338,6 +338,13 @@ impl RangeEntry {
     }
 }
 
+recipe_core::wire_struct!(RangeEntry {
+    key,
+    value,
+    ts_logical,
+    ts_node
+});
+
 /// Key-range state transfer: the replica-side hooks an online shard migration
 /// drives (see `recipe-shard`'s migration controller). A migration exports the
 /// moving range from the donor group's coordinator, ships it through the

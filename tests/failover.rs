@@ -81,10 +81,23 @@ fn crash_plan_leader_failover_preserves_progress() {
 
 #[test]
 fn recovered_follower_rehydrates_and_rejoins() {
-    let plan = CrashPlan::none().crash_recover(NodeId(2), 5_000_000, 60_000_000);
-    let mut cluster = raft_cluster(plan, 4000);
+    const RECOVER_AT_NS: u64 = 60_000_000;
+    const OPS: usize = 8_000;
+    let plan = CrashPlan::none().crash_recover(NodeId(2), 5_000_000, RECOVER_AT_NS);
+    let mut cluster = raft_cluster(plan, OPS);
     let stats = cluster.run(put);
-    assert!(stats.committed >= 4000, "lost commits: {}", stats.committed);
+    // The run must outlast the scheduled recovery, or the recovery never
+    // happens and every assertion below is vacuous.
+    assert!(
+        cluster.now_ns() > RECOVER_AT_NS,
+        "run ended at {} ns, before the recovery at {RECOVER_AT_NS} ns",
+        cluster.now_ns()
+    );
+    assert!(
+        stats.committed >= OPS as u64,
+        "lost commits: {}",
+        stats.committed
+    );
     assert!(cluster.crashed_nodes().is_empty(), "node never recovered");
     // The restarted follower rehydrated from a live peer's sealed snapshot
     // and caught up through normal replication: it holds state again and
@@ -104,9 +117,15 @@ fn recovered_leader_rejoins_behind_the_new_view() {
     // The crashed *leader* comes back after the survivors elected a new
     // one: it must rejoin in (at least) the group's current view — never
     // its own stale pre-crash view — and resync without forking history.
-    let plan = CrashPlan::none().crash_recover(NodeId(0), 2_000_000, 150_000_000);
+    const RECOVER_AT_NS: u64 = 150_000_000;
+    let plan = CrashPlan::none().crash_recover(NodeId(0), 2_000_000, RECOVER_AT_NS);
     let mut cluster = raft_cluster(plan, 8000);
     let stats = cluster.run(put);
+    assert!(
+        cluster.now_ns() > RECOVER_AT_NS,
+        "run ended at {} ns, before the recovery at {RECOVER_AT_NS} ns",
+        cluster.now_ns()
+    );
     assert!(stats.committed >= 8000);
     assert!(cluster.crashed_nodes().is_empty());
     let group_view = cluster
