@@ -3,8 +3,8 @@
 //! Each `figN_*` / `tableN_*` function runs the corresponding experiment on the
 //! deterministic simulator and returns structured rows; the binaries under
 //! `src/bin/` print them, the Criterion benches under `benches/` measure
-//! representative configurations, and EXPERIMENTS.md records paper-vs-measured
-//! values. See DESIGN.md for the experiment index.
+//! representative configurations. The README section "Reproducing the paper's
+//! experiments" is the experiment index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +20,9 @@ use recipe_protocols::{AbdReplica, AllConcurReplica, BatchConfig, ChainReplica, 
 use recipe_shard::{
     DeploymentSpec, PolicyReplica, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats,
 };
-use recipe_sim::{ClientModel, CostProfile, Replica, RunStats, SimCluster, SimConfig};
+use recipe_sim::{
+    ClientModel, CostProfile, RangeStateTransfer, Replica, RunStats, SimCluster, SimConfig,
+};
 use recipe_telemetry::{TelemetryConfig, TelemetryReport};
 use recipe_workload::{
     stable_key_hash, TenantMixSpec, TxnWorkloadSpec, WorkloadRequest, WorkloadSpec,
@@ -1662,143 +1664,24 @@ pub fn run_sharded(kind: ProtocolKind, shards: usize, operations: usize) -> Shar
     let spec = DeploymentSpec::new(shards, 3)
         .with_seed(7)
         .with_clients(64, operations);
+    match kind {
+        ProtocolKind::RRaft => run_sharded_spec::<RaftReplica>(spec),
+        ProtocolKind::RAbd => run_sharded_spec::<AbdReplica>(spec),
+        other => panic!("shard scaling is defined for R-Raft and R-ABD, not {other:?}"),
+    }
+}
+
+/// Drives `spec` under the default YCSB Zipfian workload (seed 7).
+fn run_sharded_spec<R: PolicyReplica + RangeStateTransfer>(
+    spec: DeploymentSpec,
+) -> ShardedRunStats {
     let workload = WorkloadSpec {
         seed: 7,
         ..WorkloadSpec::default()
     };
-    let mut cluster = match kind {
-        ProtocolKind::RRaft => ShardedCluster::build_with(spec, |shard, id, m, policy| {
-            ShardReplica::Raft(RaftReplica::build_replica(shard, id, m, policy))
-        }),
-        ProtocolKind::RAbd => ShardedCluster::build_with(spec, |shard, id, m, policy| {
-            ShardReplica::Abd(AbdReplica::build_replica(shard, id, m, policy))
-        }),
-        other => panic!("shard scaling is defined for R-Raft and R-ABD, not {other:?}"),
-    };
     let generator = RefCell::new(workload.generator());
-    cluster
+    ShardedCluster::<R>::build(spec)
         .run(move |_client, _seq| recipe_shard::op_from_workload(generator.borrow_mut().next_op()))
-}
-
-/// A replica that is either R-Raft or R-ABD, so one sharded driver type can
-/// host both sweep protocols.
-// One replica of each variant exists per shard — the size difference between
-// the two is irrelevant at that population.
-#[allow(clippy::large_enum_variant)]
-pub enum ShardReplica {
-    /// Recipe-transformed Raft.
-    Raft(RaftReplica),
-    /// Recipe-transformed ABD.
-    Abd(AbdReplica),
-}
-
-impl Replica for ShardReplica {
-    fn id(&self) -> recipe_net::NodeId {
-        match self {
-            ShardReplica::Raft(r) => r.id(),
-            ShardReplica::Abd(r) => r.id(),
-        }
-    }
-
-    fn on_client_request(
-        &mut self,
-        request: recipe_core::ClientRequest,
-        ctx: &mut recipe_sim::Ctx,
-    ) {
-        match self {
-            ShardReplica::Raft(r) => r.on_client_request(request, ctx),
-            ShardReplica::Abd(r) => r.on_client_request(request, ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: recipe_net::NodeId, bytes: &[u8], ctx: &mut recipe_sim::Ctx) {
-        match self {
-            ShardReplica::Raft(r) => r.on_message(from, bytes, ctx),
-            ShardReplica::Abd(r) => r.on_message(from, bytes, ctx),
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut recipe_sim::Ctx) {
-        match self {
-            ShardReplica::Raft(r) => r.on_timer(token, ctx),
-            ShardReplica::Abd(r) => r.on_timer(token, ctx),
-        }
-    }
-
-    fn coordinates_writes(&self) -> bool {
-        match self {
-            ShardReplica::Raft(r) => r.coordinates_writes(),
-            ShardReplica::Abd(r) => r.coordinates_writes(),
-        }
-    }
-
-    fn coordinates_reads(&self) -> bool {
-        match self {
-            ShardReplica::Raft(r) => r.coordinates_reads(),
-            ShardReplica::Abd(r) => r.coordinates_reads(),
-        }
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        match self {
-            ShardReplica::Raft(r) => r.protocol_name(),
-            ShardReplica::Abd(r) => r.protocol_name(),
-        }
-    }
-
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[recipe_core::Operation]) -> recipe_sim::TxnVote {
-        match self {
-            ShardReplica::Raft(r) => r.txn_prepare(txn_id, ops),
-            ShardReplica::Abd(r) => r.txn_prepare(txn_id, ops),
-        }
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<recipe_sim::RangeEntry> {
-        match self {
-            ShardReplica::Raft(r) => r.txn_commit(txn_id),
-            ShardReplica::Abd(r) => r.txn_commit(txn_id),
-        }
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        match self {
-            ShardReplica::Raft(r) => r.txn_abort(txn_id),
-            ShardReplica::Abd(r) => r.txn_abort(txn_id),
-        }
-    }
-}
-
-impl recipe_sim::RangeStateTransfer for ShardReplica {
-    fn export_range(
-        &mut self,
-        filter: &dyn Fn(&[u8]) -> bool,
-    ) -> Result<Vec<recipe_sim::RangeEntry>, String> {
-        match self {
-            ShardReplica::Raft(r) => r.export_range(filter),
-            ShardReplica::Abd(r) => r.export_range(filter),
-        }
-    }
-
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<recipe_sim::RangeEntry>, String> {
-        match self {
-            ShardReplica::Raft(r) => r.read_entry(key),
-            ShardReplica::Abd(r) => r.read_entry(key),
-        }
-    }
-
-    fn import_range(&mut self, entries: &[recipe_sim::RangeEntry]) {
-        match self {
-            ShardReplica::Raft(r) => r.import_range(entries),
-            ShardReplica::Abd(r) => r.import_range(entries),
-        }
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        match self {
-            ShardReplica::Raft(r) => r.evict_range(filter),
-            ShardReplica::Abd(r) => r.evict_range(filter),
-        }
-    }
 }
 
 /// Table 4: end-to-end attestation latency through the Recipe CAS vs through the

@@ -23,7 +23,7 @@ use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_net::NodeId;
 use recipe_protocols::shield::NativeBatch;
 use recipe_protocols::{BatchConfig, Batcher};
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
+use recipe_sim::{Ctx, KvBacked, RangeEntry, Replica, RestartReport};
 
 /// Timer token: flush partially-filled batches (time-budget trigger).
 const TOKEN_BATCH_FLUSH: u64 = 1;
@@ -391,55 +391,10 @@ impl Replica for PbftReplica {
         "PBFT"
     }
 
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        recipe_protocols::txn::kv_txn_prepare(&mut self.kv, txn_id, ops)
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        // Staged writes execute through the primary's normal execution
-        // counter; the coordinator installs the returned records on the
-        // other replicas.
-        let mut executed = self.executed_ops;
-        let id = self.id.0;
-        let entries =
-            recipe_protocols::txn::kv_txn_commit(&mut self.kv, txn_id, |kv, key, value| {
-                executed += 1;
-                let _ = kv.write(key, value, Timestamp::new(executed, id));
-            });
-        self.executed_ops = executed;
-        entries
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        self.kv.txn_abort(txn_id);
-    }
-
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        recipe_protocols::txn::kv_txn_stage_replicated(&mut self.kv, txn_id, ops);
-    }
-
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        self.kv.txn_drop_replicated(txn_id);
-    }
-
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        self.kv.txn_adopt_replicated()
-    }
-
-    fn txn_export_records(&mut self) -> Vec<(u64, Vec<(Vec<u8>, Option<Vec<u8>>)>)> {
-        self.kv.txn_export_records()
-    }
-
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv.txn_stage_replicated(txn_id, ops);
-    }
+    recipe_sim::kv_backed_hooks!(txn_participant);
 
     fn current_view(&self) -> u64 {
         self.view
-    }
-
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        recipe_protocols::migration::kv_export_range(&mut self.kv, &|_| true).ok()
     }
 
     fn on_restart(
@@ -452,26 +407,8 @@ impl Replica for PbftReplica {
         self.down.clear();
         self.next_seq = 0;
         self.batcher = Batcher::new(*self.batcher.config());
-        self.kv.txn_reset();
         self.view = self.view.max(view);
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            recipe_protocols::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.executed_ops = self.executed_ops.max(restored);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        self.restart_store(snapshot)
     }
 
     fn on_peer_down(&mut self, peer: NodeId, _ctx: &mut Ctx) {
@@ -498,21 +435,15 @@ impl Replica for PbftReplica {
     }
 }
 
-impl RangeStateTransfer for PbftReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        recipe_protocols::migration::kv_export_range(&mut self.kv, filter)
+impl KvBacked for PbftReplica {
+    fn store(&mut self) -> &mut PartitionedKvStore {
+        &mut self.kv
     }
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        recipe_protocols::migration::kv_read_entry(&mut self.kv, key)
-    }
-
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        recipe_protocols::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+    /// Executed operations: a 2PC commit write takes the primary's next
+    /// execution slot; the coordinator installs it on the other replicas.
+    fn write_counter(&mut self) -> &mut u64 {
+        &mut self.executed_ops
     }
 }
 

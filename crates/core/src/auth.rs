@@ -330,12 +330,6 @@ impl AuthLayer {
         &self.enclave
     }
 
-    /// Mutable access to the underlying enclave (e.g. for the protocol to reach its
-    /// signing key or seal durable state).
-    pub fn enclave_mut(&mut self) -> &mut Enclave {
-        &mut self.enclave
-    }
-
     /// Counts of rejected messages `(replays, bad_auth, wrong_view)`.
     pub fn rejection_counts(&self) -> (u64, u64, u64) {
         (

@@ -1,7 +1,5 @@
 //! Error type for the Recipe library.
 
-use recipe_kv::KvError;
-use recipe_net::NetError;
 use recipe_tee::TeeError;
 use std::fmt;
 
@@ -31,14 +29,8 @@ pub enum RecipeError {
         /// The node the caller should redirect to, if known.
         leader_hint: Option<u64>,
     },
-    /// The node has not completed the transferable-authentication phase.
-    NotAttested,
     /// Underlying TEE failure.
     Tee(TeeError),
-    /// Underlying KV-store failure.
-    Kv(KvError),
-    /// Underlying networking failure.
-    Net(NetError),
     /// Message could not be decoded.
     Malformed(&'static str),
 }
@@ -62,15 +54,7 @@ impl fmt::Display for RecipeError {
                 Some(leader) => write!(f, "not the leader; redirect to node {leader}"),
                 None => write!(f, "not the leader"),
             },
-            RecipeError::NotAttested => {
-                write!(
-                    f,
-                    "node has not completed the transferable authentication phase"
-                )
-            }
             RecipeError::Tee(err) => write!(f, "TEE error: {err}"),
-            RecipeError::Kv(err) => write!(f, "KV error: {err}"),
-            RecipeError::Net(err) => write!(f, "network error: {err}"),
             RecipeError::Malformed(what) => write!(f, "malformed message: {what}"),
         }
     }
@@ -84,18 +68,6 @@ impl From<TeeError> for RecipeError {
     }
 }
 
-impl From<KvError> for RecipeError {
-    fn from(err: KvError) -> Self {
-        RecipeError::Kv(err)
-    }
-}
-
-impl From<NetError> for RecipeError {
-    fn from(err: NetError) -> Self {
-        RecipeError::Net(err)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +76,6 @@ mod tests {
     fn conversions_and_display() {
         let err: RecipeError = TeeError::EnclaveCrashed.into();
         assert!(err.to_string().contains("TEE"));
-        let err: RecipeError = KvError::NotFound.into();
-        assert!(err.to_string().contains("KV"));
-        let err: RecipeError = NetError::NotConnected {
-            peer: recipe_net::NodeId(3),
-        }
-        .into();
-        assert!(err.to_string().contains("network"));
         let err = RecipeError::ReplayDetected {
             channel: "cq:1->2".into(),
             received: 4,

@@ -15,37 +15,29 @@
 //!    the same slot become detectable ([`auth::VerifyOutcome`], Algorithm 1).
 //!
 //! On top of these layers the crate provides the pieces every transformed protocol
-//! shares: the shielded message format ([`message::ShieldedMessage`]), the client
-//! table ([`client_table::ClientTable`]), membership and view/epoch tracking with
-//! trusted-lease failure detection ([`membership`], [`view`]), and the recovery /
-//! join flow for new replicas ([`recovery`]). The [`node::RecipeNode`] facade wires
-//! all of it to an enclave, a partitioned KV store and an RPC endpoint, exposing the
-//! Table-3 API that Listing 1 programs against.
+//! shares: the shielded message and frame formats ([`message::ShieldedMessage`],
+//! [`message::BatchFrame`], [`message::TxnFrame`]), the one binary wire codec
+//! ([`wire::Wire`]), replica-group membership ([`membership::Membership`]) and the
+//! per-group confidentiality policy ([`policy::ConfidentialityMode`]). The
+//! replicas themselves live in `recipe-protocols` and `recipe-bft` and run on the
+//! `recipe-sim` simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod auth;
-pub mod client_table;
 pub mod error;
 pub mod membership;
 pub mod message;
-pub mod node;
 pub mod policy;
-pub mod recovery;
-pub mod view;
 pub mod wire;
 
 pub use auth::{AuthLayer, BatchVerifyOutcome, TxnVerifyOutcome, VerifyOutcome};
-pub use client_table::ClientTable;
 pub use error::RecipeError;
 pub use membership::Membership;
 pub use message::{
     BatchFrame, BatchOp, ClientReply, ClientRequest, Operation, Request, SequenceTuple,
     ShieldedMessage, TxnBody, TxnFrame,
 };
-pub use node::{NodeRole, RecipeConfig, RecipeNode};
 pub use policy::ConfidentialityMode;
-pub use recovery::{JoinCoordinator, JoinRequest, StateSnapshot};
-pub use view::ViewTracker;
 pub use wire::{FrameTag, Wire};

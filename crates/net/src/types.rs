@@ -78,8 +78,8 @@ impl fmt::Debug for ChannelId {
     }
 }
 
-/// Request type tag, dispatching to the handler registered for it
-/// (`reg_hdlr(&func)` in Table 3).
+/// Request type tag of a wire message (the dispatch key of `reg_hdlr(&func)` in
+/// the paper's Table 3).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ReqType(pub u16);
 

@@ -19,7 +19,7 @@ use recipe_core::{
 };
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
+use recipe_sim::{Ctx, KvBacked, RangeEntry, Replica, RestartReport};
 
 use crate::shield::ProtocolShield;
 
@@ -453,48 +453,7 @@ impl Replica for AbdReplica {
         }
     }
 
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        crate::txn::kv_txn_prepare(&mut self.kv, txn_id, ops)
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        // Each staged write takes a strictly newer Lamport timestamp than the
-        // stored one (the ABD write rule), so replicas installing the
-        // returned records via `write_if_newer` semantics converge.
-        let id = self.id.0;
-        let mut applied = self.applied_writes;
-        let entries = crate::txn::kv_txn_commit(&mut self.kv, txn_id, |kv, key, value| {
-            let next = kv.timestamp_of(key).unwrap_or(Timestamp::ZERO).next_for(id);
-            applied += 1;
-            let _ = kv.write(key, value, next);
-        });
-        self.applied_writes = applied;
-        entries
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        self.kv.txn_abort(txn_id);
-    }
-
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        crate::txn::kv_txn_stage_replicated(&mut self.kv, txn_id, ops);
-    }
-
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        self.kv.txn_drop_replicated(txn_id);
-    }
-
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        self.kv.txn_adopt_replicated()
-    }
-
-    fn txn_export_records(&mut self) -> Vec<(u64, Vec<(Vec<u8>, Option<Vec<u8>>)>)> {
-        self.kv.txn_export_records()
-    }
-
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv.txn_stage_replicated(txn_id, ops);
-    }
+    recipe_sim::kv_backed_hooks!(txn_participant);
 
     fn channel_send_counter(&self, peer: NodeId) -> u64 {
         self.shield.send_counter_to(peer)
@@ -502,10 +461,6 @@ impl Replica for AbdReplica {
 
     fn resync_channel_from(&mut self, peer: NodeId, peer_send_counter: u64) {
         self.shield.resync_from(peer, peer_send_counter);
-    }
-
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        crate::migration::kv_export_range(&mut self.kv, &|_| true).ok()
     }
 
     fn on_restart(
@@ -517,45 +472,28 @@ impl Replica for AbdReplica {
         // ABD is leaderless: nothing to elect. In-flight quorum ops are
         // volatile and lost; the client retransmission restarts them.
         self.inflight.clear();
-        self.kv.txn_reset();
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            crate::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.applied_writes = self.applied_writes.max(restored);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        self.restart_store(snapshot)
     }
 }
 
-impl RangeStateTransfer for AbdReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        crate::migration::kv_export_range(&mut self.kv, filter)
+impl KvBacked for AbdReplica {
+    fn store(&mut self) -> &mut PartitionedKvStore {
+        &mut self.kv
     }
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        crate::migration::kv_read_entry(&mut self.kv, key)
+    fn write_counter(&mut self) -> &mut u64 {
+        &mut self.applied_writes
     }
 
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        // The carried Lamport timestamps are installed verbatim so the ABD
-        // write rule (strictly-newer wins) keeps holding across the move.
-        crate::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+    /// The ABD write rule: a strictly newer Lamport timestamp than the stored
+    /// one, so replicas installing the committed records with write-if-newer
+    /// semantics converge.
+    fn commit_timestamp(&mut self, key: &[u8]) -> Timestamp {
+        self.applied_writes += 1;
+        self.kv
+            .timestamp_of(key)
+            .unwrap_or(Timestamp::ZERO)
+            .next_for(self.id.0)
     }
 }
 
@@ -563,7 +501,7 @@ impl RangeStateTransfer for AbdReplica {
 mod tests {
     use super::*;
     use crate::build_cluster;
-    use recipe_sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+    use recipe_sim::{ClientModel, CostProfile, RangeStateTransfer, SimCluster, SimConfig};
 
     fn cluster(ops: usize) -> SimCluster<AbdReplica> {
         let replicas = build_cluster(3, 1, |id, m| AbdReplica::recipe(id, m, false));

@@ -24,7 +24,7 @@ use recipe_core::{
 };
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport};
+use recipe_sim::{Ctx, KvBacked, RangeEntry, Replica, RestartReport};
 
 use crate::shield::ProtocolShield;
 
@@ -268,9 +268,8 @@ impl Replica for AllConcurReplica {
         self.shield.resync_from(peer, peer_send_counter);
     }
 
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        crate::migration::kv_export_range(&mut self.kv, &|_| true).ok()
-    }
+    // Not a 2PC participant: the `txn_*` hooks keep voting `Unsupported`.
+    recipe_sim::kv_backed_hooks!();
 
     fn on_restart(
         &mut self,
@@ -283,43 +282,17 @@ impl Replica for AllConcurReplica {
         // volatile and lost, and the client retransmission reissues them.
         self.own.clear();
         self.buffered.clear();
-        self.kv.txn_reset();
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            crate::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.applied_writes = self.applied_writes.max(restored);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        self.restart_store(snapshot)
     }
 }
 
-impl RangeStateTransfer for AllConcurReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        crate::migration::kv_export_range(&mut self.kv, filter)
+impl KvBacked for AllConcurReplica {
+    fn store(&mut self) -> &mut PartitionedKvStore {
+        &mut self.kv
     }
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        crate::migration::kv_read_entry(&mut self.kv, key)
-    }
-
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        crate::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+    fn write_counter(&mut self) -> &mut u64 {
+        &mut self.applied_writes
     }
 }
 

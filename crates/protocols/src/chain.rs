@@ -13,7 +13,7 @@ use recipe_core::{
 };
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
+use recipe_sim::{Ctx, KvBacked, RangeEntry, Replica, RestartReport};
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::shield::ProtocolShield;
@@ -273,47 +273,7 @@ impl Replica for ChainReplica {
         }
     }
 
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        crate::txn::kv_txn_prepare(&mut self.kv, txn_id, ops)
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        // The head applies through its normal apply path (sequencing the
-        // writes like forwarded ones); the coordinator installs the returned
-        // records down-chain, mirroring the forward traversal.
-        let mut applied = self.applied_writes;
-        let id = self.id.0;
-        let entries = crate::txn::kv_txn_commit(&mut self.kv, txn_id, |kv, key, value| {
-            applied += 1;
-            let _ = kv.write(key, value, Timestamp::new(applied, id));
-        });
-        self.applied_writes = applied;
-        entries
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        self.kv.txn_abort(txn_id);
-    }
-
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        crate::txn::kv_txn_stage_replicated(&mut self.kv, txn_id, ops);
-    }
-
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        self.kv.txn_drop_replicated(txn_id);
-    }
-
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        self.kv.txn_adopt_replicated()
-    }
-
-    fn txn_export_records(&mut self) -> Vec<(u64, Vec<(Vec<u8>, Option<Vec<u8>>)>)> {
-        self.kv.txn_export_records()
-    }
-
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv.txn_stage_replicated(txn_id, ops);
-    }
+    recipe_sim::kv_backed_hooks!(txn_participant);
 
     fn channel_send_counter(&self, peer: NodeId) -> u64 {
         self.shield.send_counter_to(peer)
@@ -321,10 +281,6 @@ impl Replica for ChainReplica {
 
     fn resync_channel_from(&mut self, peer: NodeId, peer_send_counter: u64) {
         self.shield.resync_from(peer, peer_send_counter);
-    }
-
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        crate::migration::kv_export_range(&mut self.kv, &|_| true).ok()
     }
 
     fn on_restart(
@@ -335,30 +291,11 @@ impl Replica for ChainReplica {
     ) -> RestartReport {
         self.batcher = Batcher::new(*self.batcher.config());
         self.down.clear();
-        self.kv.txn_reset();
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            crate::migration::kv_import_range(&mut self.kv, &entries);
-        }
         // `applied_writes` and `next_seq` are backed by the trusted
-        // monotonic counter, so they survive the crash; advancing to the
-        // freshest surviving timestamp additionally covers state adopted
-        // from the snapshot, keeping re-applied writes from reusing
-        // logical timestamps.
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.applied_writes = self.applied_writes.max(restored);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        // monotonic counter, so they survive the crash; the write counter
+        // additionally advances to the freshest surviving timestamp, which
+        // covers state adopted from the snapshot.
+        self.restart_store(snapshot)
     }
 
     fn on_peer_down(&mut self, peer: NodeId, _ctx: &mut Ctx) {
@@ -380,21 +317,15 @@ impl Replica for ChainReplica {
     }
 }
 
-impl RangeStateTransfer for ChainReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        crate::migration::kv_export_range(&mut self.kv, filter)
+impl KvBacked for ChainReplica {
+    fn store(&mut self) -> &mut PartitionedKvStore {
+        &mut self.kv
     }
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        crate::migration::kv_read_entry(&mut self.kv, key)
-    }
-
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        crate::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+    /// Applied writes: the head sequences a 2PC commit write like a
+    /// forwarded one; the coordinator installs it down-chain.
+    fn write_counter(&mut self) -> &mut u64 {
+        &mut self.applied_writes
     }
 }
 

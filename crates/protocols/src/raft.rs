@@ -21,7 +21,7 @@ use recipe_core::{
 };
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
+use recipe_sim::{Ctx, KvBacked, RangeEntry, Replica, RestartReport};
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::shield::ProtocolShield;
@@ -516,48 +516,7 @@ impl Replica for RaftReplica {
         }
     }
 
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        crate::txn::kv_txn_prepare(&mut self.kv, txn_id, ops)
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        // Each staged write goes through the leader's normal apply path, so
-        // log positions and timestamps advance exactly as for replicated
-        // single-key writes; the coordinator installs the returned records on
-        // the followers (the migration-import idiom).
-        let mut committed = self.committed_entries;
-        let id = self.id.0;
-        let entries = crate::txn::kv_txn_commit(&mut self.kv, txn_id, |kv, key, value| {
-            committed += 1;
-            let _ = kv.write(key, value, Timestamp::new(committed, id));
-        });
-        self.committed_entries = committed;
-        entries
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        self.kv.txn_abort(txn_id);
-    }
-
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        crate::txn::kv_txn_stage_replicated(&mut self.kv, txn_id, ops);
-    }
-
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        self.kv.txn_drop_replicated(txn_id);
-    }
-
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        self.kv.txn_adopt_replicated()
-    }
-
-    fn txn_export_records(&mut self) -> Vec<(u64, Vec<(Vec<u8>, Option<Vec<u8>>)>)> {
-        self.kv.txn_export_records()
-    }
-
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv.txn_stage_replicated(txn_id, ops);
-    }
+    recipe_sim::kv_backed_hooks!(txn_participant);
 
     fn current_view(&self) -> u64 {
         self.view
@@ -569,10 +528,6 @@ impl Replica for RaftReplica {
 
     fn resync_channel_from(&mut self, peer: NodeId, peer_send_counter: u64) {
         self.shield.resync_from(peer, peer_send_counter);
-    }
-
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        crate::migration::kv_export_range(&mut self.kv, &|_| true).ok()
     }
 
     fn on_restart(
@@ -590,7 +545,6 @@ impl Replica for RaftReplica {
         self.voted.clear();
         self.view_votes.clear();
         self.batcher = Batcher::new(*self.batcher.config());
-        self.kv.txn_reset();
 
         // Adopt the view the attestation service observed among live peers so
         // traffic from a deposed leader can never be accepted.
@@ -598,24 +552,10 @@ impl Replica for RaftReplica {
         self.shield.set_view(view);
         self.last_heartbeat_ns = ctx.now().as_nanos();
 
-        // Rollback-protected rehydration: only records the enclave verifies
-        // survive; then the catch-up snapshot from a live peer installs the
-        // writes committed while this node was down. The committed-entry
-        // counter restarts at the highest verified log position, never
-        // behind it (the trusted counter story).
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            crate::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.committed_entries = self.committed_entries.max(restored);
+        // Rollback-protected rehydration plus the catch-up snapshot; the
+        // committed-entry counter restarts at the highest verified log
+        // position, never behind it (the trusted counter story).
+        let report = self.restart_store(snapshot);
 
         if self.is_leader() {
             let beat = RaftMsg::Heartbeat { view: self.view };
@@ -623,33 +563,19 @@ impl Replica for RaftReplica {
             ctx.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
         }
         ctx.set_timer(ELECTION_TIMEOUT_NS, TOKEN_FAILURE_DETECTOR);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        report
     }
 }
 
-impl RangeStateTransfer for RaftReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        crate::migration::kv_export_range(&mut self.kv, filter)
+impl KvBacked for RaftReplica {
+    fn store(&mut self) -> &mut PartitionedKvStore {
+        &mut self.kv
     }
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        crate::migration::kv_read_entry(&mut self.kv, key)
-    }
-
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        // Imported state is installed below the protocol: the log position
-        // counter is untouched (these entries committed on the donor group),
-        // and later local writes overwrite unconditionally, so the carried
-        // timestamps are only provenance.
-        crate::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+    /// Committed entries: a 2PC commit write takes the next log position,
+    /// exactly like a replicated single-key write.
+    fn write_counter(&mut self) -> &mut u64 {
+        &mut self.committed_entries
     }
 }
 

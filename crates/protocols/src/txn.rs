@@ -20,15 +20,11 @@
 //! the lost slot, which is exactly the fail-safe stall the shield gives
 //! unattended protocol channels — coordinators must not do it.
 //!
-//! The module also hosts the store-level participant helpers shared by every
-//! replica's [`recipe_sim::Replica::txn_prepare`] /
-//! [`recipe_sim::Replica::txn_commit`] / [`recipe_sim::Replica::txn_abort`]
-//! overrides, mirroring how [`crate::migration`] shares the range-transfer
-//! bodies.
+//! The participant side — locking, staging and committing in each replica's
+//! store — is [`recipe_sim::KvBacked`].
 
-use recipe_core::{ConfidentialityMode, Membership, Operation, TxnBody};
+use recipe_core::{ConfidentialityMode, Membership, TxnBody};
 use recipe_net::NodeId;
-use recipe_sim::{RangeEntry, TxnVote};
 
 use crate::shield::ProtocolShield;
 
@@ -49,75 +45,6 @@ fn coordinator_endpoint(txn_id: u64) -> NodeId {
 /// The participant endpoint of shard `shard` for transaction `txn_id`.
 fn participant_endpoint(txn_id: u64, shard: usize) -> NodeId {
     NodeId(TXN_ENDPOINT_BASE + txn_id * TXN_ENDPOINT_STRIDE + 1 + shard as u64)
-}
-
-// ---------------------------------------------------------------------------
-// Store-level participant helpers (shared by every replica's overrides)
-// ---------------------------------------------------------------------------
-
-/// Lowers protocol operations into the store's `(key, staged write)` pairs:
-/// reads lock their key and stage nothing, writes lock and stage the value.
-pub fn txn_lock_set(ops: &[Operation]) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-    ops.iter()
-        .map(|op| match op {
-            Operation::Get { key } => (key.clone(), None),
-            Operation::Put { key, value } => (key.clone(), Some(value.clone())),
-        })
-        .collect()
-}
-
-/// The shared body of every replica's `txn_prepare` override: locks + stages
-/// through the store's transaction table, translating a lock conflict into
-/// the vote the coordinator expects.
-pub fn kv_txn_prepare(
-    kv: &mut recipe_kv::PartitionedKvStore,
-    txn_id: u64,
-    ops: &[Operation],
-) -> TxnVote {
-    match kv.txn_prepare(txn_id, &txn_lock_set(ops)) {
-        Ok(()) => TxnVote::Granted,
-        Err(recipe_kv::KvError::LockConflict { key, .. }) => TxnVote::Conflict { key },
-        // The transaction table only reports lock conflicts today; anything
-        // else would be a store bug — refuse the prepare rather than lock up.
-        Err(_) => TxnVote::Conflict { key: Vec::new() },
-    }
-}
-
-/// The shared body of every replica's `txn_stage_replicated` override:
-/// records the leader's prepare as a passive (lock-free) record the store
-/// can adopt on failover.
-pub fn kv_txn_stage_replicated(
-    kv: &mut recipe_kv::PartitionedKvStore,
-    txn_id: u64,
-    ops: &[Operation],
-) {
-    kv.txn_stage_replicated(txn_id, &txn_lock_set(ops));
-}
-
-/// The shared body of every replica's `txn_commit` override: takes the
-/// staged writes out of the store (releasing the locks) and applies each
-/// through the caller's normal apply path via `apply`, returning the applied
-/// records with the timestamps the store now holds.
-pub fn kv_txn_commit(
-    kv: &mut recipe_kv::PartitionedKvStore,
-    txn_id: u64,
-    mut apply: impl FnMut(&mut recipe_kv::PartitionedKvStore, &[u8], &[u8]),
-) -> Vec<RangeEntry> {
-    let Some(writes) = kv.txn_take_staged(txn_id) else {
-        return Vec::new(); // already resolved: ack idempotently
-    };
-    let mut entries = Vec::with_capacity(writes.len());
-    for (key, value) in writes {
-        apply(kv, &key, &value);
-        let ts = kv.timestamp_of(&key).unwrap_or_default();
-        entries.push(RangeEntry {
-            key,
-            value,
-            ts_logical: ts.logical,
-            ts_node: ts.node,
-        });
-    }
-    entries
 }
 
 // ---------------------------------------------------------------------------
@@ -223,6 +150,7 @@ impl TxnChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recipe_core::Operation;
 
     fn prepare(n: usize) -> TxnBody {
         TxnBody::Prepare {
@@ -305,48 +233,5 @@ mod tests {
         let wire = channel.seal_response(&vote);
         assert!(!wire.windows(4).any(|w| w == b"user"));
         assert_eq!(channel.open_response(&wire), Some(vote));
-    }
-
-    #[test]
-    fn lock_set_lowering_maps_reads_and_writes() {
-        let ops = vec![
-            Operation::Get { key: b"r".to_vec() },
-            Operation::Put {
-                key: b"w".to_vec(),
-                value: b"v".to_vec(),
-            },
-        ];
-        let set = txn_lock_set(&ops);
-        assert_eq!(set[0], (b"r".to_vec(), None));
-        assert_eq!(set[1], (b"w".to_vec(), Some(b"v".to_vec())));
-    }
-
-    #[test]
-    fn kv_participant_helpers_prepare_commit_and_vote_conflicts() {
-        use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
-        let mut kv = PartitionedKvStore::new(StoreConfig::default());
-        let ops = vec![Operation::Put {
-            key: b"a".to_vec(),
-            value: b"1".to_vec(),
-        }];
-        assert_eq!(kv_txn_prepare(&mut kv, 1, &ops), TxnVote::Granted);
-        // A second transaction conflicts and names the key.
-        assert_eq!(
-            kv_txn_prepare(&mut kv, 2, &ops),
-            TxnVote::Conflict { key: b"a".to_vec() }
-        );
-        let mut applied = 0;
-        let entries = kv_txn_commit(&mut kv, 1, |kv, key, value| {
-            applied += 1;
-            let _ = kv.write(key, value, Timestamp::new(5, 9));
-        });
-        assert_eq!(applied, 1);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].key, b"a");
-        assert_eq!(entries[0].ts_logical, 5);
-        assert_eq!(entries[0].ts_node, 9);
-        // Idempotent re-commit applies nothing.
-        assert!(kv_txn_commit(&mut kv, 1, |_, _, _| panic!("re-applied")).is_empty());
-        assert_eq!(kv.get(b"a").unwrap().value, b"1");
     }
 }

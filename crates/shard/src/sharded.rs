@@ -16,9 +16,10 @@
 //!   driver, which owns latency accounting and schedules each client's next
 //!   issue — possibly on a different shard.
 //!
-//! Shards exchange no messages (cross-shard transactions are a ROADMAP item),
-//! so interleaving order between shards cannot change any shard's behaviour —
-//! but the single clock is what makes the aggregate wall-clock figures in
+//! Replica groups never message each other: cross-shard transactions run
+//! through the coordinator's shielded two-phase commit ([`crate::txn`]) and
+//! migrations through shielded transfer channels ([`crate::migration`]). The
+//! single clock is what makes the aggregate wall-clock figures in
 //! [`ShardedRunStats`] meaningful.
 
 use recipe_core::{ConfidentialityMode, Operation, Request};

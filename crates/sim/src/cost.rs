@@ -16,8 +16,8 @@
 //!   sockets without direct I/O (paper Table 2) and carries a heavier per-message
 //!   software stack, expressed as its own [`CostProfile`].
 //!
-//! Calibration targets the *relative* numbers the paper reports; EXPERIMENTS.md
-//! records paper-vs-measured for every figure.
+//! Calibration targets the *relative* numbers the paper reports; the README
+//! section "Reproducing the paper's experiments" lists the binary for every figure.
 
 use recipe_net::{ExecMode, NetCostModel, Transport};
 use recipe_tee::EpcModel;

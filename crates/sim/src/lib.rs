@@ -1,12 +1,14 @@
 //! Deterministic discrete-event cluster simulator.
 //!
 //! The paper evaluates Recipe on a three-machine SGX cluster with a 40 GbE fabric;
-//! this crate replaces that testbed (DESIGN.md, hardware substitutions) with a
+//! this crate replaces that testbed (README, "Design substitutions") with a
 //! simulator that:
 //!
 //! * executes the *real* protocol logic and *real* cryptography of every replica
 //!   (replicas are [`replica::Replica`] state machines — the same code the examples
-//!   and integration tests run);
+//!   and integration tests run); replicas whose state lives in one KV store
+//!   share their 2PC, range-transfer and restart code through
+//!   [`kv_backed::KvBacked`];
 //! * moves messages through a Byzantine network model
 //!   ([`recipe_net::NetworkFaultInjector`]) with configurable delays, drops,
 //!   duplication, tampering and replays;
@@ -25,6 +27,7 @@
 
 pub mod cluster;
 pub mod cost;
+pub mod kv_backed;
 pub mod replica;
 
 pub use cluster::{
@@ -32,6 +35,7 @@ pub use cluster::{
     SimCluster, SimConfig, StepOutcome,
 };
 pub use cost::{CostProfile, ProtocolCostModel};
+pub use kv_backed::KvBacked;
 pub use replica::{
     Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnRecordOps, TxnVote,
 };

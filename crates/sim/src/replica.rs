@@ -133,19 +133,23 @@ pub struct RestartReport {
 /// One exported prepare record's operations, in the wire form
 /// [`Replica::txn_import_record`] expects: lock keys as valueless (`None`)
 /// entries first, then the staged writes in order.
-pub type TxnRecordOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+pub use recipe_kv::TxnRecordOps;
 
 /// A deterministic protocol replica.
 ///
-/// The three `txn_*` hooks are the participant side of cross-shard two-phase
+/// The `txn_*` hooks are the participant side of cross-shard two-phase
 /// commit, driven by the sharded coordinator on the group's write
 /// coordinator: `txn_prepare` locks the touched keys in the replica's store
-/// and stages the writes, `txn_commit` applies them through the replica's
-/// normal apply path and returns the applied records (the coordinator
+/// and stages the writes, `txn_commit` applies them under the replica's
+/// write-timestamp rule and returns the applied records (the coordinator
 /// installs them on the group's other replicas, mirroring how migration
-/// state transfer installs imported ranges), `txn_abort` discards them.
-/// The default implementations vote [`TxnVote::Unsupported`] — protocols opt
-/// in by overriding (R-Raft, R-CR, R-ABD and PBFT do).
+/// state transfer installs imported ranges), `txn_abort` discards them. The
+/// other five carry replicated prepare records across failover and recovery.
+/// The default implementations vote [`TxnVote::Unsupported`]. A replica
+/// whose state lives in one KV store implements [`crate::KvBacked`] instead of
+/// writing these hooks: `kv_backed_hooks!(txn_participant)` fills them in
+/// from the shared store code (R-Raft, R-CR, R-ABD and PBFT do; R-AllConcur
+/// and Damysus stay `Unsupported`).
 pub trait Replica {
     /// This replica's node id.
     fn id(&self) -> NodeId;

@@ -2,7 +2,7 @@
 //!
 //! The Recipe paper builds on Intel SGX (via the SCONE runtime). No SGX hardware is
 //! available to this reproduction, so this crate provides a **software enclave** that
-//! exposes the same *properties* Recipe relies on (see DESIGN.md, "Hardware
+//! exposes the same *properties* Recipe relies on (see the README, "Design
 //! substitutions"):
 //!
 //! * an **identity** — a measurement (hash) of the code loaded into the enclave,
@@ -13,9 +13,8 @@
 //!   ([`enclave::Enclave::provision_mac_key`], [`sealed::SealedBlob`]);
 //! * **trusted monotonic counters** — the building block of the non-equivocation
 //!   layer ([`counter::TrustedCounter`]);
-//! * **trusted leases** — the T-Lease primitive Recipe uses for failure detection
-//!   and leader leases, because SGX has no trustworthy timer
-//!   ([`lease::TrustedLease`]);
+//! * **trusted virtual time** — SGX has no trustworthy timer, so every handler
+//!   reads the simulator's deterministic clock ([`clock::TrustedInstant`]);
 //! * an **EPC model** — SGX's Enclave Page Cache is small (~94 MiB usable); the
 //!   [`epc::EpcModel`] tracks enclave-resident bytes and reports a pressure factor
 //!   that the simulator's cost model turns into the slowdowns the paper measures for
@@ -32,15 +31,13 @@ pub mod counter;
 pub mod enclave;
 pub mod epc;
 pub mod error;
-pub mod lease;
 pub mod quote;
 pub mod sealed;
 
-pub use clock::{ManualClock, TimeSource, TrustedInstant};
+pub use clock::TrustedInstant;
 pub use counter::TrustedCounter;
 pub use enclave::{Enclave, EnclaveConfig, EnclaveId, Measurement};
 pub use epc::EpcModel;
 pub use error::TeeError;
-pub use lease::{LeaseState, TrustedLease};
 pub use quote::{HardwareKey, Quote, Report};
 pub use sealed::SealedBlob;

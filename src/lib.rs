@@ -5,10 +5,10 @@
 //! member crates:
 //!
 //! * [`recipe_core`] — the Recipe library itself (authentication + non-equivocation
-//!   layers, membership, view change, recovery).
+//!   layers, shielded frames, wire codec, membership).
 //! * [`recipe_tee`], [`recipe_net`], [`recipe_kv`], [`recipe_attest`],
-//!   [`recipe_crypto`] — the substrates (simulated TEE, direct-I/O RPC stack,
-//!   partitioned KV store, attestation services, cryptography).
+//!   [`recipe_crypto`] — the substrates (simulated TEE, network framing, faults and
+//!   cost model, partitioned KV store, attestation services, cryptography).
 //! * [`recipe_protocols`] — R-Raft, R-CR, R-ABD and R-AllConcur (plus their native
 //!   CFT counterparts).
 //! * [`recipe_bft`] — the PBFT and Damysus baselines.
