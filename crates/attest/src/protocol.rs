@@ -83,7 +83,10 @@ pub fn run_remote_attestation<V: QuoteVerifier, R: RngCore>(
             return Err(AttestError::ProvisioningFailed);
         }
         key.copy_from_slice(cipher_key_bytes);
-        enclave.provision_cipher_key("recipe.values", recipe_crypto::CipherKey::from_bytes(key))?;
+        enclave.provision_cipher_key(
+            "recipe.values",
+            recipe_crypto::Cipher::new(&recipe_crypto::CipherKey::from_bytes(key)),
+        )?;
     }
 
     Ok(AttestationOutcome {

@@ -1,8 +1,9 @@
-//! Microbenchmarks of Recipe's core primitives: shield/verify, the partitioned KV
-//! store and the skiplist index.
+//! Microbenchmarks of Recipe's core primitives: HMAC-SHA-256 tags, the
+//! encrypt-then-MAC cipher, shield/verify, the partitioned KV store and the
+//! skiplist index.
 use criterion::{criterion_group, criterion_main, Criterion};
 use recipe_core::{AuthLayer, Membership};
-use recipe_crypto::MacKey;
+use recipe_crypto::{Cipher, CipherKey, MacKey, Nonce};
 use recipe_kv::{PartitionedKvStore, SkipList, StoreConfig, Timestamp};
 use recipe_net::NodeId;
 use recipe_tee::{Enclave, EnclaveConfig, EnclaveId};
@@ -23,6 +24,28 @@ fn shield_pair() -> (AuthLayer, AuthLayer) {
 }
 
 fn bench(c: &mut Criterion) {
+    let key = MacKey::from_bytes([7u8; 32]);
+    for (name, len) in [("hmac_tag_64B", 64), ("hmac_tag_1KiB", 1024)] {
+        c.bench_function(name, |b| {
+            let message = vec![0x5Au8; len];
+            b.iter(|| key.tag(&message))
+        });
+    }
+
+    let cipher = Cipher::new(&CipherKey::from_bytes([9u8; 32]));
+    let plaintext = vec![0xA5u8; 1024];
+    c.bench_function("aead_seal_1KiB", |b| {
+        let mut counter = 0u64;
+        b.iter(|| {
+            counter += 1;
+            cipher.seal(Nonce::from_view_counter(1, counter), &plaintext)
+        })
+    });
+    c.bench_function("aead_open_1KiB", |b| {
+        let sealed = cipher.seal(Nonce::from_view_counter(2, 0), &plaintext);
+        b.iter(|| cipher.open(&sealed).unwrap())
+    });
+
     c.bench_function("shield_and_verify_256B", |b| {
         let (mut tx, mut rx) = shield_pair();
         let payload = vec![0u8; 256];

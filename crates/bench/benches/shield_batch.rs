@@ -5,7 +5,7 @@
 //! amortization.
 use criterion::{criterion_group, criterion_main, Criterion};
 use recipe_core::{AuthLayer, BatchOp};
-use recipe_crypto::{CipherKey, MacKey};
+use recipe_crypto::{Cipher, CipherKey, MacKey};
 use recipe_net::NodeId;
 use recipe_tee::{Enclave, EnclaveConfig, EnclaveId};
 
@@ -18,10 +18,10 @@ fn shield_pair(confidential: bool) -> (AuthLayer, AuthLayer) {
         e2.provision_mac_key(label, master.derive(label)).unwrap();
     }
     if confidential {
-        let key = CipherKey::from_bytes([3u8; 32]);
-        e1.provision_cipher_key(recipe_core::auth::CIPHER_LABEL, key.clone())
+        let cipher = Cipher::new(&CipherKey::from_bytes([3u8; 32]));
+        e1.provision_cipher_key(recipe_core::auth::CIPHER_LABEL, cipher.clone())
             .unwrap();
-        e2.provision_cipher_key(recipe_core::auth::CIPHER_LABEL, key)
+        e2.provision_cipher_key(recipe_core::auth::CIPHER_LABEL, cipher)
             .unwrap();
     }
     (

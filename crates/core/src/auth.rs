@@ -532,7 +532,7 @@ impl AuthLayer {
             }
             Admission::Deliver { counter } => {
                 let txn_id = frame.txn_id;
-                let opened = match &frame.sealed {
+                let opened = match frame.sealed {
                     Some(ct) => self.open_ciphertext(ct),
                     None => Ok(frame.body),
                 };
@@ -812,7 +812,7 @@ impl AuthLayer {
     /// Opens a batch body (one AEAD pass) and decodes its ops, enforcing the
     /// authenticated op count.
     fn open_batch_owned(&self, frame: BatchFrame) -> Result<Vec<BatchOp>, RecipeError> {
-        let body = match &frame.sealed {
+        let body = match frame.sealed {
             Some(ct) => self.open_ciphertext(ct)?,
             None => frame.body,
         };
@@ -823,16 +823,19 @@ impl AuthLayer {
         Ok(ops)
     }
 
+    /// Decodes a sealed single-message payload (the one copy of its bytes)
+    /// and opens it in place.
     fn decrypt(&self, body: &[u8]) -> Result<Vec<u8>, RecipeError> {
         let ct =
             recipe_crypto::Ciphertext::decode(body).ok_or(RecipeError::Malformed("ciphertext"))?;
-        self.open_ciphertext(&ct)
+        self.open_ciphertext(ct)
     }
 
-    fn open_ciphertext(&self, ct: &recipe_crypto::Ciphertext) -> Result<Vec<u8>, RecipeError> {
-        let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-        cipher
-            .open(ct)
+    /// Checks the AEAD tag and decrypts into the ciphertext's own buffer.
+    fn open_ciphertext(&self, ct: recipe_crypto::Ciphertext) -> Result<Vec<u8>, RecipeError> {
+        self.enclave
+            .cipher(CIPHER_LABEL)?
+            .open_owned(ct)
             .map_err(|_| RecipeError::AuthenticationFailed)
     }
 
@@ -846,7 +849,7 @@ impl AuthLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe_crypto::{CipherKey, MacKey};
+    use recipe_crypto::{Cipher, CipherKey, MacKey};
     use recipe_tee::{EnclaveConfig, EnclaveId};
 
     /// Builds a pair of auth layers (node 1 → node 2) sharing channel keys, as the
@@ -864,11 +867,13 @@ mod tests {
                 .unwrap();
         }
         if confidential {
-            let key = CipherKey::from_bytes([3u8; 32]);
+            let cipher = Cipher::new(&CipherKey::from_bytes([3u8; 32]));
             enclave_1
-                .provision_cipher_key(CIPHER_LABEL, key.clone())
+                .provision_cipher_key(CIPHER_LABEL, cipher.clone())
                 .unwrap();
-            enclave_2.provision_cipher_key(CIPHER_LABEL, key).unwrap();
+            enclave_2
+                .provision_cipher_key(CIPHER_LABEL, cipher)
+                .unwrap();
         }
         (
             AuthLayer::new(NodeId(1), enclave_1, confidential),
@@ -1056,7 +1061,10 @@ mod tests {
                 .unwrap();
         }
         enclave
-            .provision_cipher_key(CIPHER_LABEL, CipherKey::from_bytes([99u8; 32]))
+            .provision_cipher_key(
+                CIPHER_LABEL,
+                Cipher::new(&CipherKey::from_bytes([99u8; 32])),
+            )
             .unwrap();
         let mut receiver = AuthLayer::new(NodeId(2), enclave, true);
         assert_eq!(receiver.verify(&msg), VerifyOutcome::DecryptionFailed);
@@ -1269,6 +1277,52 @@ mod tests {
         assert!(!sealed.bytes.windows(7).any(|w| w == b"account"));
         match receiver.verify_txn(frame) {
             TxnVerifyOutcome::Accept { body, .. } => assert_eq!(body, prepare_body()),
+            other => panic!("expected Accept, got {other:?}"),
+        }
+    }
+
+    /// The trusted receive counter of the `1 → 2` channel at the receiver.
+    fn received(receiver: &AuthLayer) -> u64 {
+        receiver.enclave().counter_value("recv:cq:1->2")
+    }
+
+    #[test]
+    fn flipped_aead_tag_of_a_batch_is_rejected_before_the_counter_moves() {
+        let (mut sender, mut receiver) = layer_pair(true);
+        let frame = sender.shield_batch(NodeId(2), &ops(2)).unwrap();
+        let mut flipped = frame.clone();
+        flipped.sealed.as_mut().unwrap().tag[0] ^= 1;
+        assert_eq!(
+            receiver.verify_batch(flipped),
+            BatchVerifyOutcome::BadAuthenticator
+        );
+        assert_eq!(received(&receiver), 0);
+        // The genuine frame still holds its counter slot and delivers.
+        match receiver.verify_batch(frame) {
+            BatchVerifyOutcome::Accept { ops: got, counter } => {
+                assert_eq!(got, ops(2));
+                assert_eq!(counter, 1);
+            }
+            other => panic!("expected Accept, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flipped_aead_tag_of_a_txn_frame_is_rejected_before_the_counter_moves() {
+        let (mut sender, mut receiver) = layer_pair(true);
+        let frame = sender.shield_txn(NodeId(2), 7, &prepare_body()).unwrap();
+        let mut flipped = frame.clone();
+        flipped.sealed.as_mut().unwrap().tag[31] ^= 0x80;
+        assert_eq!(
+            receiver.verify_txn(flipped),
+            TxnVerifyOutcome::BadAuthenticator
+        );
+        assert_eq!(received(&receiver), 0);
+        match receiver.verify_txn(frame) {
+            TxnVerifyOutcome::Accept { body, counter, .. } => {
+                assert_eq!(body, prepare_body());
+                assert_eq!(counter, 1);
+            }
             other => panic!("expected Accept, got {other:?}"),
         }
     }

@@ -121,7 +121,7 @@ wire_struct!(BatchOp { kind, payload });
 /// authenticator can never be replayed as (or confused with) a single-message
 /// authenticator. A single message's MAC input starts with its payload length
 /// as a little-endian `u64`; this ASCII prefix decodes to an impossible length.
-const BATCH_MAC_DOMAIN: &[u8] = b"recipe.batch.v1";
+const BATCH_MAC_DOMAIN: &[u8] = b"recipe.batch.v2";
 
 /// A replica-to-replica frame carrying N protocol messages under **one**
 /// sequence tuple and **one** MAC (the amortized `shield_msg` of the batching
@@ -147,7 +147,8 @@ pub struct BatchFrame {
     pub body: Vec<u8>,
     /// The sealed body in confidential mode (`None` in plaintext mode).
     pub sealed: Option<Ciphertext>,
-    /// MAC over body/ciphertext, count and tuple under the channel key.
+    /// MAC over body/ciphertext (with its AEAD tag), count and tuple under the
+    /// channel key.
     pub mac: MacTag,
 }
 
@@ -157,8 +158,10 @@ impl BatchFrame {
         self.sealed.is_some()
     }
 
-    /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext,
-    /// confidentiality flag, count, tuple).
+    /// The bytes covered by the MAC (domain tag, body or
+    /// nonce‖ciphertext‖AEAD tag, confidentiality flag, count, tuple). The
+    /// AEAD tag is covered so a host that flips it fails the MAC before the
+    /// receive counter moves, instead of burning the frame's counter slot.
     pub fn authenticated_parts<'a>(
         body: &'a [u8],
         sealed: Option<&'a Ciphertext>,
@@ -190,6 +193,7 @@ impl BatchFrame {
                 buf.extend_from_slice(&(ct.bytes.len() as u64).to_le_bytes());
                 buf.extend_from_slice(ct.nonce.as_bytes());
                 buf.extend_from_slice(&ct.bytes);
+                buf.extend_from_slice(&ct.tag);
                 buf.push(1);
             }
         }
@@ -310,7 +314,7 @@ impl From<Operation> for Request {
 /// Domain-separation prefix folded into every transaction-frame MAC, so a 2PC
 /// authenticator can never be replayed as (or confused with) a single-message
 /// or batch authenticator. Mirrors [`BATCH_MAC_DOMAIN`].
-const TXN_MAC_DOMAIN: &[u8] = b"recipe.txn.v1";
+const TXN_MAC_DOMAIN: &[u8] = b"recipe.txn.v2";
 
 /// One two-phase-commit message, carried as the body of a [`TxnFrame`].
 ///
@@ -355,7 +359,7 @@ wire_enum!(TxnBody {
 /// A shielded two-phase-commit frame between a transaction coordinator and a
 /// participant shard leader: `body` is an encoded [`TxnBody`], authenticated
 /// under the channel key together with the transaction id and the sequence
-/// tuple, with its own MAC domain (`recipe.txn.v1`) so 2PC frames, batch
+/// tuple, with its own MAC domain (`recipe.txn.v2`) so 2PC frames, batch
 /// frames and single messages can never be confused for one another.
 #[derive(Clone, PartialEq, Eq)]
 pub struct TxnFrame {
@@ -369,8 +373,8 @@ pub struct TxnFrame {
     pub body: Vec<u8>,
     /// The sealed body in confidential mode (`None` in plaintext mode).
     pub sealed: Option<Ciphertext>,
-    /// MAC over domain, body/ciphertext, txn id and tuple under the channel
-    /// key.
+    /// MAC over domain, body/ciphertext (with its AEAD tag), txn id and tuple
+    /// under the channel key.
     pub mac: MacTag,
 }
 
@@ -380,8 +384,8 @@ impl TxnFrame {
         self.sealed.is_some()
     }
 
-    /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext,
-    /// confidentiality flag, txn id, tuple).
+    /// The bytes covered by the MAC (domain tag, body or
+    /// nonce‖ciphertext‖AEAD tag, confidentiality flag, txn id, tuple).
     pub fn authenticated_parts<'a>(
         body: &'a [u8],
         sealed: Option<&'a Ciphertext>,
@@ -413,6 +417,7 @@ impl TxnFrame {
                 buf.extend_from_slice(&(ct.bytes.len() as u64).to_le_bytes());
                 buf.extend_from_slice(ct.nonce.as_bytes());
                 buf.extend_from_slice(&ct.bytes);
+                buf.extend_from_slice(&ct.tag);
                 buf.push(1);
             }
         }

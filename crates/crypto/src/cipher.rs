@@ -12,6 +12,11 @@
 //! * integrity: `HMAC-SHA-256(k_mac, nonce || ciphertext)` appended as a tag and
 //!   checked before any decryption output is released.
 //!
+//! Both sub-keys are expanded once, in [`Cipher::new`], so each 32-byte keystream
+//! block costs 2 SHA-256 compressions (inner and outer hash of a 40-byte input)
+//! and the tag costs about one compression per 64 bytes of ciphertext plus 2.
+//! Sealing or opening 1 KiB is about 83 compressions.
+//!
 //! This is not meant to compete with AES-GCM in throughput; it exists so the
 //! confidentiality code path performs *real* encryption work whose cost scales with
 //! payload size, which is what the Figure 5 experiment measures.
@@ -19,7 +24,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::mac::MacKey;
+use crate::mac::{MacKey, MacTag};
 use crate::nonce::Nonce;
 use crate::{CryptoError, KeyMaterial, DIGEST_LEN};
 
@@ -78,7 +83,8 @@ impl fmt::Debug for Ciphertext {
     }
 }
 
-/// Stateless encrypt-then-MAC cipher.
+/// Encrypt-then-MAC cipher holding its two expanded sub-keys; it keeps no
+/// per-message state.
 #[derive(Clone, Debug)]
 pub struct Cipher {
     enc_key: MacKey,
@@ -87,7 +93,7 @@ pub struct Cipher {
 
 impl Cipher {
     /// Creates a cipher from a single master key, deriving independent encryption
-    /// and authentication sub-keys.
+    /// and authentication sub-keys (each expanded once, here).
     pub fn new(key: &CipherKey) -> Self {
         let master = MacKey::from_bytes(
             // recipe-lint: allow(unwrap-in-lib, reason = "CipherKey wraps a 32-byte derived digest by construction")
@@ -106,25 +112,41 @@ impl Cipher {
     pub fn seal(&self, nonce: Nonce, plaintext: &[u8]) -> Ciphertext {
         let mut bytes = plaintext.to_vec();
         self.apply_keystream(&nonce, &mut bytes);
-        let tag = self
+        let tag = *self
             .mac_key
             .tag_parts(&[nonce.as_bytes(), &bytes])
-            .as_bytes()
-            .to_owned();
+            .as_bytes();
         Ciphertext { nonce, bytes, tag }
     }
 
-    /// Verifies and decrypts `ciphertext`, returning the plaintext.
+    /// Verifies and decrypts a borrowed `ciphertext` into a fresh plaintext buffer.
     pub fn open(&self, ciphertext: &Ciphertext) -> Result<Vec<u8>, CryptoError> {
-        let expected = self
-            .mac_key
-            .tag_parts(&[ciphertext.nonce.as_bytes(), &ciphertext.bytes]);
-        if expected.as_bytes() != &ciphertext.tag {
-            return Err(CryptoError::CiphertextTampered);
-        }
+        self.check_tag(ciphertext)?;
         let mut bytes = ciphertext.bytes.clone();
         self.apply_keystream(&ciphertext.nonce, &mut bytes);
         Ok(bytes)
+    }
+
+    /// Verifies and decrypts an owned `ciphertext` in place, reusing its buffer
+    /// for the plaintext.
+    pub fn open_owned(&self, ciphertext: Ciphertext) -> Result<Vec<u8>, CryptoError> {
+        self.check_tag(&ciphertext)?;
+        let Ciphertext {
+            nonce, mut bytes, ..
+        } = ciphertext;
+        self.apply_keystream(&nonce, &mut bytes);
+        Ok(bytes)
+    }
+
+    /// Checks the tag over nonce and ciphertext (constant-time comparison)
+    /// before any plaintext is released.
+    fn check_tag(&self, ciphertext: &Ciphertext) -> Result<(), CryptoError> {
+        self.mac_key
+            .verify_parts(
+                &[ciphertext.nonce.as_bytes(), &ciphertext.bytes],
+                &MacTag::from_bytes(ciphertext.tag),
+            )
+            .map_err(|_| CryptoError::CiphertextTampered)
     }
 
     fn apply_keystream(&self, nonce: &Nonce, data: &mut [u8]) {
@@ -184,6 +206,16 @@ mod tests {
         let mut ct = c.seal(Nonce::from_u128(7), b"payload payload payload");
         ct.bytes[3] ^= 0xFF;
         assert_eq!(c.open(&ct), Err(CryptoError::CiphertextTampered));
+    }
+
+    #[test]
+    fn open_owned_matches_open_and_checks_the_tag() {
+        let c = cipher();
+        let ct = c.seal(Nonce::from_u128(5), b"owned payload");
+        assert_eq!(c.open_owned(ct.clone()).unwrap(), c.open(&ct).unwrap());
+        let mut bad = ct;
+        bad.tag[0] ^= 1;
+        assert_eq!(c.open_owned(bad), Err(CryptoError::CiphertextTampered));
     }
 
     #[test]

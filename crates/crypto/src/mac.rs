@@ -15,52 +15,53 @@ use crate::{CryptoError, KeyMaterial, DIGEST_LEN};
 type HmacSha256 = Hmac<Sha256>;
 
 /// A 256-bit symmetric MAC key shared between two attested endpoints.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MacKey([u8; DIGEST_LEN]);
+///
+/// The key is expanded once, when it is made: `keyed` holds the HMAC state
+/// that has already absorbed the ipad and opad blocks (RFC 2104 §4), and every
+/// tag clones it instead of re-deriving it, which saves two SHA-256
+/// compressions per call. Equality, `Debug`, serde and
+/// [`KeyMaterial::expose_secret`] see only the 32 key bytes.
+#[derive(Clone)]
+pub struct MacKey {
+    bytes: [u8; DIGEST_LEN],
+    keyed: HmacSha256,
+}
 
 impl MacKey {
     /// Builds a key from raw bytes (e.g. bytes unsealed from enclave storage or
     /// derived from a key-exchange shared secret).
-    pub const fn from_bytes(bytes: [u8; DIGEST_LEN]) -> Self {
-        MacKey(bytes)
+    pub fn from_bytes(bytes: [u8; DIGEST_LEN]) -> Self {
+        MacKey {
+            bytes,
+            // recipe-lint: allow(unwrap-in-lib, reason = "HMAC accepts any key length; new_from_slice is total")
+            keyed: HmacSha256::new_from_slice(&bytes).expect("HMAC accepts any key length"),
+        }
     }
 
     /// Derives a fresh, unpredictable key from the supplied RNG.
     pub fn generate<R: rand::RngCore>(rng: &mut R) -> Self {
         let mut bytes = [0u8; DIGEST_LEN];
         rng.fill_bytes(&mut bytes);
-        MacKey(bytes)
+        MacKey::from_bytes(bytes)
     }
 
     /// Derives a sub-key bound to a label, so one provisioned secret can back several
     /// independent channels (`derive("cq:3->5")`, `derive("values")`, …).
     pub fn derive(&self, label: &str) -> MacKey {
-        let tag = self.tag(label.as_bytes());
-        MacKey(tag.0)
+        MacKey::from_bytes(self.tag(label.as_bytes()).0)
     }
 
     /// Computes the HMAC tag over `message`.
     pub fn tag(&self, message: &[u8]) -> MacTag {
-        let mut mac = HmacSha256::new_from_slice(&self.0).expect("HMAC accepts any key length");
+        let mut mac = self.keyed.clone();
         mac.update(message);
-        let out = mac.finalize().into_bytes();
-        let mut bytes = [0u8; DIGEST_LEN];
-        bytes.copy_from_slice(&out);
-        MacTag(bytes)
+        MacTag(mac.finalize().into_bytes().into())
     }
 
     /// Computes the HMAC tag over several length-prefixed parts, mirroring
     /// [`crate::hash::hash_parts`].
     pub fn tag_parts(&self, parts: &[&[u8]]) -> MacTag {
-        let mut mac = HmacSha256::new_from_slice(&self.0).expect("HMAC accepts any key length");
-        for part in parts {
-            mac.update(&(part.len() as u64).to_le_bytes());
-            mac.update(part);
-        }
-        let out = mac.finalize().into_bytes();
-        let mut bytes = [0u8; DIGEST_LEN];
-        bytes.copy_from_slice(&out);
-        MacTag(bytes)
+        MacTag(self.keyed_parts(parts).finalize().into_bytes().into())
     }
 
     /// Verifies that `tag` authenticates `message` under this key.
@@ -68,7 +69,7 @@ impl MacKey {
     /// Verification is constant-time in the tag comparison (delegated to the `hmac`
     /// crate's `verify_slice`).
     pub fn verify(&self, message: &[u8], tag: &MacTag) -> Result<(), CryptoError> {
-        let mut mac = HmacSha256::new_from_slice(&self.0).expect("HMAC accepts any key length");
+        let mut mac = self.keyed.clone();
         mac.update(message);
         mac.verify_slice(&tag.0)
             .map_err(|_| CryptoError::MacMismatch)
@@ -76,19 +77,49 @@ impl MacKey {
 
     /// Verifies a tag computed with [`MacKey::tag_parts`].
     pub fn verify_parts(&self, parts: &[&[u8]], tag: &MacTag) -> Result<(), CryptoError> {
-        let mut mac = HmacSha256::new_from_slice(&self.0).expect("HMAC accepts any key length");
+        self.keyed_parts(parts)
+            .verify_slice(&tag.0)
+            .map_err(|_| CryptoError::MacMismatch)
+    }
+
+    /// The keyed state after absorbing `parts`, each prefixed by its length.
+    fn keyed_parts(&self, parts: &[&[u8]]) -> HmacSha256 {
+        let mut mac = self.keyed.clone();
         for part in parts {
             mac.update(&(part.len() as u64).to_le_bytes());
             mac.update(part);
         }
-        mac.verify_slice(&tag.0)
-            .map_err(|_| CryptoError::MacMismatch)
+        mac
+    }
+}
+
+impl PartialEq for MacKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for MacKey {}
+
+// Serialized by hand so the form stays that of the one-field tuple struct
+// `MacKey([u8; 32])` (an array holding the key bytes); the expanded state is
+// rebuilt from the bytes on the way back in.
+impl Serialize for MacKey {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(vec![self.bytes.to_value()])
+    }
+}
+
+impl Deserialize for MacKey {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let [bytes] = <[[u8; DIGEST_LEN]; 1]>::from_value(v)?;
+        Ok(MacKey::from_bytes(bytes))
     }
 }
 
 impl KeyMaterial for MacKey {
     fn expose_secret(&self) -> &[u8] {
-        &self.0
+        &self.bytes
     }
 }
 

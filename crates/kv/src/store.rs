@@ -14,7 +14,7 @@
 //! arena and decrypts them (after integrity verification) on reads, so plaintext data
 //! never leaves the enclave region.
 
-use recipe_crypto::{hash_parts, Cipher, CipherKey, Ciphertext, Digest, Nonce};
+use recipe_crypto::{hash_parts, Cipher, Ciphertext, Digest, Nonce};
 use serde::{Deserialize, Serialize};
 
 use crate::error::KvError;
@@ -25,9 +25,9 @@ use crate::txn::{TxnRecordOps, TxnTable};
 /// Configuration for a [`PartitionedKvStore`].
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// When set, values are encrypted with this key before entering host memory
-    /// (confidential mode, Figure 5).
-    pub cipher_key: Option<CipherKey>,
+    /// When set, values are encrypted with this cipher before entering host
+    /// memory (confidential mode, Figure 5).
+    pub cipher: Option<Cipher>,
     /// Seed for the skiplist tower heights (reproducibility).
     pub index_seed: u64,
 }
@@ -35,16 +35,16 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            cipher_key: None,
+            cipher: None,
             index_seed: 0xC0FFEE,
         }
     }
 }
 
 impl StoreConfig {
-    /// Enables confidential mode with the given value-encryption key.
-    pub fn with_cipher(mut self, key: CipherKey) -> Self {
-        self.cipher_key = Some(key);
+    /// Enables confidential mode with the given value cipher.
+    pub fn with_cipher(mut self, cipher: Cipher) -> Self {
+        self.cipher = Some(cipher);
         self
     }
 }
@@ -131,7 +131,7 @@ impl PartitionedKvStore {
             index: SkipList::with_seed(config.index_seed),
             host_arena: Vec::new(),
             free_slots: Vec::new(),
-            cipher: config.cipher_key.as_ref().map(Cipher::new),
+            cipher: config.cipher,
             nonce_counter: 0,
             stats: StoreStats::default(),
             txns: TxnTable::default(),
@@ -568,6 +568,7 @@ impl PartitionedKvStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use recipe_crypto::CipherKey;
     use std::collections::HashMap;
 
     fn plain_store() -> PartitionedKvStore {
@@ -576,7 +577,7 @@ mod tests {
 
     fn confidential_store() -> PartitionedKvStore {
         PartitionedKvStore::new(
-            StoreConfig::default().with_cipher(CipherKey::from_bytes([7u8; 32])),
+            StoreConfig::default().with_cipher(Cipher::new(&CipherKey::from_bytes([7u8; 32]))),
         )
     }
 

@@ -18,10 +18,11 @@ use recipe_core::{
     AuthLayer, BatchFrame, BatchOp, BatchVerifyOutcome, ConfidentialityMode, FrameTag, Membership,
     ShieldedMessage, TxnBody, TxnFrame, TxnVerifyOutcome, VerifyOutcome, Wire,
 };
-use recipe_crypto::{CipherKey, MacKey};
+use recipe_crypto::{Cipher, CipherKey, MacKey};
 use recipe_net::NodeId;
 use recipe_tee::{Enclave, EnclaveConfig, EnclaveId};
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// Whether a replica runs the native CFT protocol or its Recipe transformation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -203,15 +204,28 @@ pub struct ProtocolShield {
 
 impl ProtocolShield {
     /// Master secret all deployments in this reproduction derive their channel keys
-    /// from (what the protocol designer uploads to the CAS).
-    fn master_key() -> MacKey {
-        MacKey::from_bytes(*recipe_crypto::hash_parts(&[b"recipe.deployment.master"]).as_bytes())
+    /// from (what the protocol designer uploads to the CAS). It hashes a fixed
+    /// label, so it is expanded once per process, not once per replica.
+    fn master_key() -> &'static MacKey {
+        static MASTER: LazyLock<MacKey> = LazyLock::new(|| {
+            MacKey::from_bytes(
+                *recipe_crypto::hash_parts(&[b"recipe.deployment.master"]).as_bytes(),
+            )
+        });
+        &MASTER
     }
 
-    /// The deployment-wide value/payload cipher key (what the CAS provisions
-    /// into every confidential enclave and store in this reproduction).
-    pub fn deployment_cipher_key() -> CipherKey {
-        CipherKey::from_bytes(*recipe_crypto::hash_parts(&[b"recipe.deployment.cipher"]).as_bytes())
+    /// The deployment-wide value/payload cipher (what the CAS provisions into
+    /// every confidential enclave and store in this reproduction). Its key
+    /// hashes a fixed label, so its sub-keys are expanded once per process;
+    /// every confidential enclave and store gets a clone.
+    fn deployment_cipher() -> &'static Cipher {
+        static CIPHER: LazyLock<Cipher> = LazyLock::new(|| {
+            Cipher::new(&CipherKey::from_bytes(
+                *recipe_crypto::hash_parts(&[b"recipe.deployment.cipher"]).as_bytes(),
+            ))
+        });
+        &CIPHER
     }
 
     /// Builds a Recipe-mode shield for `node` within `membership`.
@@ -245,7 +259,7 @@ impl ProtocolShield {
             enclave
                 .provision_cipher_key(
                     recipe_core::auth::CIPHER_LABEL,
-                    Self::deployment_cipher_key(),
+                    Self::deployment_cipher().clone(),
                 )
                 .expect("fresh enclave accepts keys");
         }
@@ -285,7 +299,7 @@ impl ProtocolShield {
     /// values (integrity is still hash-checked by the partitioned store).
     pub fn store_config(&self) -> recipe_kv::StoreConfig {
         if self.mode.confidentiality().is_confidential() {
-            recipe_kv::StoreConfig::default().with_cipher(Self::deployment_cipher_key())
+            recipe_kv::StoreConfig::default().with_cipher(Self::deployment_cipher().clone())
         } else {
             recipe_kv::StoreConfig::default()
         }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use recipe_crypto::{
-    hash_parts, Cipher, CipherKey, Digest, EphemeralSecret, KxPublic, MacKey, Nonce, SharedSecret,
+    hash_parts, Cipher, Digest, EphemeralSecret, KxPublic, MacKey, Nonce, SharedSecret,
     SigningKeyPair,
 };
 use serde::{Deserialize, Serialize};
@@ -93,7 +93,7 @@ pub struct Enclave {
 
     // Secrets provisioned after attestation. Reachable only through this handle.
     mac_keys: HashMap<String, MacKey>,
-    cipher_keys: HashMap<String, CipherKey>,
+    ciphers: HashMap<String, Cipher>,
     signing_key: Option<SigningKeyPair>,
 
     // Ephemeral key-exchange secret generated during attestation.
@@ -125,7 +125,7 @@ impl Enclave {
             epc,
             crashed: false,
             mac_keys: HashMap::new(),
-            cipher_keys: HashMap::new(),
+            ciphers: HashMap::new(),
             signing_key: None,
             kx_secret: None,
             counters: HashMap::new(),
@@ -242,23 +242,24 @@ impl Enclave {
             })
     }
 
-    /// Installs a cipher key under `label` (confidentiality mode).
+    /// Installs a cipher under `label` (confidentiality mode). The cipher
+    /// arrives with its sub-keys already expanded, so the caller that
+    /// provisions many enclaves expands the deployment key once.
     pub fn provision_cipher_key(
         &mut self,
         label: impl Into<String>,
-        key: CipherKey,
+        cipher: Cipher,
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
-        self.cipher_keys.insert(label.into(), key);
+        self.ciphers.insert(label.into(), cipher);
         Ok(())
     }
 
-    /// Builds a cipher from the key provisioned under `label`.
-    pub fn cipher(&self, label: &str) -> Result<Cipher, TeeError> {
+    /// The cipher provisioned under `label`.
+    pub fn cipher(&self, label: &str) -> Result<&Cipher, TeeError> {
         self.ensure_alive()?;
-        self.cipher_keys
+        self.ciphers
             .get(label)
-            .map(Cipher::new)
             .ok_or_else(|| TeeError::MissingSecret {
                 label: label.to_owned(),
             })
@@ -366,6 +367,7 @@ impl fmt::Debug for Enclave {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use recipe_crypto::CipherKey;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(1)
@@ -448,7 +450,7 @@ mod tests {
     fn cipher_provisioning() {
         let mut e = enclave();
         assert!(e.cipher("values").is_err());
-        e.provision_cipher_key("values", CipherKey::from_bytes([2u8; 32]))
+        e.provision_cipher_key("values", Cipher::new(&CipherKey::from_bytes([2u8; 32])))
             .unwrap();
         let cipher = e.cipher("values").unwrap();
         let ct = cipher.seal(Nonce::from_u128(1), b"v");

@@ -9,13 +9,13 @@
 use recipe::core::Membership;
 use recipe::kv::{PartitionedKvStore, StoreConfig, Timestamp};
 use recipe::protocols::ProtocolShield;
-use recipe_crypto::CipherKey;
+use recipe_crypto::{Cipher, CipherKey};
 use recipe_net::NodeId;
 
 fn main() {
     // --- Confidential KV store: host memory only ever sees ciphertext. ---
     let mut store = PartitionedKvStore::new(
-        StoreConfig::default().with_cipher(CipherKey::from_bytes([0x42; 32])),
+        StoreConfig::default().with_cipher(Cipher::new(&CipherKey::from_bytes([0x42; 32]))),
     );
     store
         .write(
